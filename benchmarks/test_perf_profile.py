@@ -1,22 +1,15 @@
-"""Performance A6 — constant-memory profiling and sharded apply.
+"""Performance A6 — constant-memory profiling.
 
-PR 1 made the *apply* half of CLX scale (compiled programs at regex
-speed); this benchmark guards the scale layer of both halves added on
-top of it:
-
-* **Streaming profile** — :class:`repro.clustering.incremental.IncrementalProfiler`
-  must profile a ≥200k-row synthetic phone column from a generator with
-  memory bounded by the number of distinct patterns, not the number of
-  rows (the batch profiler materializes every value), while producing
-  the exact same leaf patterns and counts.
-* **Sharded apply** — :meth:`TransformEngine.run_parallel` must match
-  :meth:`TransformEngine.run` outcome-for-outcome, and beat it on
-  wall-clock when real cores are available.
+:class:`repro.clustering.incremental.IncrementalProfiler` must profile a
+≥200k-row synthetic phone column from a generator with memory bounded
+by the number of distinct patterns, not the number of rows (the batch
+profiler materializes every value), while producing the exact same leaf
+patterns and counts.  The multi-process profile and apply rows live in
+``test_perf_table.py``.
 
 ``CLX_PERF_ROWS`` scales the workload down for smoke runs (CI runs the
-file with a small value so the scale path cannot rot); speed assertions
-only apply at full size on multi-core hosts, correctness assertions
-always apply.
+file with a small value so the scale path cannot rot); the memory
+assertion always applies.
 """
 
 from __future__ import annotations
@@ -27,10 +20,8 @@ import time
 import tracemalloc
 
 from repro.bench.generators import phone_number_stream
-from repro.bench.phone import phone_dataset
 from repro.clustering.incremental import IncrementalProfiler
 from repro.clustering.profiler import PatternProfiler
-from repro.core.session import CLXSession
 from repro.util.text import format_table
 
 #: Rows in the scale workloads; override with CLX_PERF_ROWS for smoke runs.
@@ -90,46 +81,3 @@ def test_perf_streaming_profile_bounded_memory():
         f"streaming profile peaked at {peak / 1e6:.2f} MB, not clearly below the "
         f"{estimate / 1e6:.2f} MB a materialized column would need"
     )
-
-
-def test_perf_sharded_apply_speedup():
-    # Synthesize once on the study column, then scale the apply workload.
-    raw, _expected = phone_dataset(count=300, format_count=6, seed=331)
-    session = CLXSession(raw)
-    session.label_target_from_notation("<D>3'-'<D>3'-'<D>4")
-    engine = session.engine()
-    values = list(phone_number_stream(ROWS, seed=97))
-
-    start = time.perf_counter()
-    single = engine.run(values)
-    single_seconds = time.perf_counter() - start
-
-    workers = min(4, os.cpu_count() or 1) if (os.cpu_count() or 1) > 1 else 2
-    start = time.perf_counter()
-    sharded = engine.run_parallel(values, workers=workers)
-    sharded_seconds = time.perf_counter() - start
-
-    # Sharding must never change semantics.
-    assert sharded.outputs == single.outputs
-    assert sharded.matched_pattern == single.matched_pattern
-
-    speedup = single_seconds / sharded_seconds
-    rows_table = [
-        ("TransformEngine.run", f"{single_seconds * 1000:.1f} ms", "1.0x"),
-        (
-            f"run_parallel(workers={workers})",
-            f"{sharded_seconds * 1000:.1f} ms",
-            f"{speedup:.2f}x",
-        ),
-    ]
-    print(f"\nsharded apply over {ROWS} rows on {os.cpu_count()} CPU(s)")
-    print(format_table(["apply path", "latency", "speedup"], rows_table))
-
-    # The speedup claim needs real cores and the full workload; smoke
-    # runs and single-CPU hosts still verify equivalence above.
-    if not SMOKE and (os.cpu_count() or 1) >= 2:
-        assert speedup > 1.0, (
-            f"sharded apply ({sharded_seconds * 1000:.1f} ms) not faster than "
-            f"single-process run ({single_seconds * 1000:.1f} ms) on "
-            f"{os.cpu_count()} CPUs"
-        )

@@ -14,17 +14,18 @@ this benchmark guards the all-cores layer on top of them:
 Serial-vs-parallel rows/sec for both paths are recorded into
 ``benchmarks/BENCH_pipeline.json`` (a bounded trajectory of recent
 runs).  ``CLX_PERF_ROWS`` scales the workload down for smoke runs;
-speedup assertions only apply at full size on hosts with ≥4 cores
-(CI matrix runners are contended and run the smoke size), correctness
-assertions always apply.
+speedup assertions only apply at full size on hosts with ≥4 usable
+cores (CI matrix runners are contended and run the smoke size), and
+every gate compares medians of repeated runs, never one timing pair.
+Correctness assertions always apply.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -41,8 +42,24 @@ FULL_ROWS = 200_000
 ROWS = int(os.environ.get("CLX_PERF_ROWS", str(FULL_ROWS)))
 SMOKE = ROWS < FULL_ROWS
 
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask), not the host's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
+#: Cores the parallel runs can actually use.
+CORES = _usable_cores()
+
 #: Worker count used by the parallel runs (the speedup target is 2x at 4).
-WORKERS = min(4, os.cpu_count() or 1)
+WORKERS = min(4, CORES)
+
+#: Timed runs per measured leg; gates assert on the median.  Smoke runs
+#: assert no timing, so one run each keeps them fast.
+REPEATS = 1 if SMOKE else 3
 
 #: Where the serial/parallel rows-per-second trajectory is recorded.
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_pipeline.json"
@@ -52,7 +69,17 @@ TRAJECTORY_LIMIT = 20
 
 
 def _speedup_assertable() -> bool:
-    return not SMOKE and (os.cpu_count() or 1) >= 4
+    return not SMOKE and CORES >= 4
+
+
+def _median_timed(run):
+    """Call ``run`` REPEATS times: (the last result, median seconds)."""
+    seconds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = run()
+        seconds.append(time.perf_counter() - start)
+    return result, statistics.median(seconds)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +89,8 @@ def recorder():
         "rows": ROWS,
         "workers": WORKERS,
         "cpu_count": os.cpu_count(),
+        "usable_cores": CORES,
+        "repeats": REPEATS,
         "smoke": SMOKE,
         "timestamp": time.time(),
     }
@@ -93,13 +122,12 @@ def phone_csv(tmp_path_factory):
 def test_perf_parallel_profile_speedup(phone_csv, recorder):
     # Same workload both sides: byte parse + profile of the file, with
     # one worker (in-process, no pool) vs the full fan-out.
-    start = time.perf_counter()
-    serial = ParallelProfiler(workers=1).profile_file(phone_csv, "phone")
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = ParallelProfiler(workers=WORKERS).profile_file(phone_csv, "phone")
-    parallel_seconds = time.perf_counter() - start
+    serial, serial_seconds = _median_timed(
+        lambda: ParallelProfiler(workers=1).profile_file(phone_csv, "phone")
+    )
+    parallel, parallel_seconds = _median_timed(
+        lambda: ParallelProfiler(workers=WORKERS).profile_file(phone_csv, "phone")
+    )
 
     # Sharding must never change semantics: identical patterns + counts,
     # hence an identical lowered hierarchy.
@@ -120,7 +148,7 @@ def test_perf_parallel_profile_speedup(phone_csv, recorder):
         "parallel_rows_per_sec": ROWS / parallel_seconds,
         "speedup": speedup,
     }
-    print(f"\nparallel profile over {ROWS} rows on {os.cpu_count()} CPU(s)")
+    print(f"\nparallel profile over {ROWS} rows on {CORES} usable CPU(s)")
     rows_table = [
         ("profile_file(workers=1)", f"{serial_seconds:.2f} s", f"{ROWS / serial_seconds:,.0f} rows/s", "1.0x"),
         (
@@ -136,7 +164,7 @@ def test_perf_parallel_profile_speedup(phone_csv, recorder):
         assert speedup >= 2.0, (
             f"parallel profile ({parallel_seconds:.2f} s) not >=2x faster than "
             f"serial ({serial_seconds:.2f} s) with {WORKERS} workers on "
-            f"{os.cpu_count()} CPUs"
+            f"{CORES} usable CPUs"
         )
 
 
@@ -171,13 +199,12 @@ def test_perf_partitioned_dataset_profile(phone_csv, phone_parts, recorder):
 
     dataset = Dataset.resolve(str(phone_parts / "part-*.csv"))
 
-    start = time.perf_counter()
-    serial = ParallelProfiler(workers=1).profile_dataset(dataset, "phone")
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = ParallelProfiler(workers=WORKERS).profile_dataset(dataset, "phone")
-    parallel_seconds = time.perf_counter() - start
+    serial, serial_seconds = _median_timed(
+        lambda: ParallelProfiler(workers=1).profile_dataset(dataset, "phone")
+    )
+    parallel, parallel_seconds = _median_timed(
+        lambda: ParallelProfiler(workers=WORKERS).profile_dataset(dataset, "phone")
+    )
 
     whole_file = ParallelProfiler(workers=1).profile_file(phone_csv, "phone")
     assert parallel.row_count == serial.row_count == ROWS
@@ -203,7 +230,7 @@ def test_perf_partitioned_dataset_profile(phone_csv, phone_parts, recorder):
     }
     print(
         f"\npartitioned dataset profile over {ROWS} rows in {len(dataset)} parts "
-        f"on {os.cpu_count()} CPU(s)"
+        f"on {CORES} usable CPU(s)"
     )
     rows_table = [
         (
@@ -225,7 +252,7 @@ def test_perf_partitioned_dataset_profile(phone_csv, phone_parts, recorder):
         assert speedup >= 1.5, (
             f"partitioned dataset profile ({parallel_seconds:.2f} s) not >=1.5x "
             f"faster than serial ({serial_seconds:.2f} s) with {WORKERS} workers "
-            f"on {os.cpu_count()} CPUs"
+            f"on {CORES} usable CPUs"
         )
 
 
@@ -290,21 +317,19 @@ def test_perf_cross_partition_apply_speedup(mixed_apply_parts, recorder):
         # The pre-dispatch shape: drain one partition at a time through
         # the shared pool — a barrier at every part boundary.
         with build(workers) as executor:
-            start = time.perf_counter()
-            encoded = "".join(
-                chunk
-                for part in dataset
-                for chunk, _, _, _ in executor.run_part(part)
+            return _median_timed(
+                lambda: "".join(
+                    chunk.text
+                    for part in dataset
+                    for _, chunk in executor.run_dataset([part])
+                )
             )
-            return encoded, time.perf_counter() - start
 
     def run_cross(workers):
         with build(workers) as executor:
-            start = time.perf_counter()
-            encoded = "".join(
-                chunk for _, (chunk, _, _, _) in executor.run_dataset(dataset)
+            return _median_timed(
+                lambda: "".join(chunk.text for _, chunk in executor.run_dataset(dataset))
             )
-            return encoded, time.perf_counter() - start
 
     serial_output, serial_seconds = run_cross(1)
     sequential_output, sequential_seconds = run_sequential(WORKERS)
@@ -331,7 +356,7 @@ def test_perf_cross_partition_apply_speedup(mixed_apply_parts, recorder):
     }
     print(
         f"\ncross-partition apply over {ROWS} rows in {len(dataset)} mixed parts "
-        f"on {os.cpu_count()} CPU(s)"
+        f"on {CORES} usable CPU(s)"
     )
     rows_table = [
         ("run_dataset(workers=1)", f"{serial_seconds:.2f} s", f"{ROWS / serial_seconds:,.0f} rows/s", "1.0x"),
@@ -354,37 +379,34 @@ def test_perf_cross_partition_apply_speedup(mixed_apply_parts, recorder):
         assert speedup_serial >= 2.0, (
             f"cross-partition apply ({cross_seconds:.2f} s) not >=2x faster than "
             f"serial ({serial_seconds:.2f} s) with {WORKERS} workers on "
-            f"{os.cpu_count()} CPUs"
+            f"{CORES} usable CPUs"
         )
         assert speedup_sequential >= 1.0, (
             f"cross-partition apply ({cross_seconds:.2f} s) slower than "
             f"sequential partition streaming ({sequential_seconds:.2f} s) with "
-            f"{WORKERS} workers on {os.cpu_count()} CPUs"
+            f"{WORKERS} workers on {CORES} usable CPUs"
         )
 
 
-def test_perf_pipelined_table_apply_speedup(recorder):
+def test_perf_pipelined_table_apply_speedup(phone_csv, recorder):
+    from repro.dataset import Dataset
     from repro.engine.parallel import ShardedTableExecutor
 
-    # Synthesize once on the study column, then scale the apply workload.
+    # Synthesize once on the study column, then scale the apply workload:
+    # one large file, split into record-aligned shards the workers read.
     raw, _expected = phone_dataset(count=300, format_count=6, seed=331)
     session = CLXSession(raw)
     session.label_target_from_notation("<D>3'-'<D>3'-'<D>4")
     engine = session.engine()
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    for index, value in enumerate(phone_number_stream(ROWS, seed=97)):
-        writer.writerow([index, value])
-    lines = buffer.getvalue().splitlines(keepends=True)
+    dataset = Dataset.resolve(str(phone_csv))
 
     def run(workers):
         with ShardedTableExecutor(
             {"phone": engine}, ["id", "phone"], workers=workers
         ) as executor:
-            start = time.perf_counter()
-            encoded = "".join(chunk for chunk, _, _, _ in executor.run_chunks(iter(lines)))
-            return encoded, time.perf_counter() - start
+            return _median_timed(
+                lambda: "".join(chunk.text for _, chunk in executor.run_dataset(dataset))
+            )
 
     serial_output, serial_seconds = run(1)
     parallel_output, parallel_seconds = run(WORKERS)
@@ -400,7 +422,7 @@ def test_perf_pipelined_table_apply_speedup(recorder):
         "parallel_rows_per_sec": ROWS / parallel_seconds,
         "speedup": speedup,
     }
-    print(f"\npipelined table apply over {ROWS} rows on {os.cpu_count()} CPU(s)")
+    print(f"\npipelined table apply over {ROWS} rows on {CORES} usable CPU(s)")
     rows_table = [
         ("table apply (workers=1)", f"{serial_seconds:.2f} s", f"{ROWS / serial_seconds:,.0f} rows/s", "1.0x"),
         (
@@ -416,7 +438,7 @@ def test_perf_pipelined_table_apply_speedup(recorder):
         assert speedup >= 2.0, (
             f"pipelined table apply ({parallel_seconds:.2f} s) not >=2x faster "
             f"than serial ({serial_seconds:.2f} s) with {WORKERS} workers on "
-            f"{os.cpu_count()} CPUs"
+            f"{CORES} usable CPUs"
         )
 
 
@@ -438,11 +460,9 @@ def test_perf_quarantine_mode_overhead(phone_csv, recorder):
         with ShardedTableExecutor(
             {"phone": engine}, ["id", "phone"], workers=WORKERS, on_error=on_error
         ) as executor:
-            start = time.perf_counter()
-            encoded = "".join(
-                chunk for _, (chunk, _, _, _) in executor.run_dataset(dataset)
+            return _median_timed(
+                lambda: "".join(chunk.text for _, chunk in executor.run_dataset(dataset))
             )
-            return encoded, time.perf_counter() - start
 
     abort_output, abort_seconds = run("abort")
     quarantine_output, quarantine_seconds = run("quarantine")
@@ -460,7 +480,7 @@ def test_perf_quarantine_mode_overhead(phone_csv, recorder):
         "quarantine_rows_per_sec": quarantine_rate,
         "quarantine_vs_abort": ratio,
     }
-    print(f"\nquarantine-mode overhead over {ROWS} rows on {os.cpu_count()} CPU(s)")
+    print(f"\nquarantine-mode overhead over {ROWS} rows on {CORES} usable CPU(s)")
     rows_table = [
         ("apply --on-error abort", f"{abort_seconds:.2f} s", f"{abort_rate:,.0f} rows/s", "1.00x"),
         (
@@ -506,9 +526,11 @@ def test_perf_hot_loop_dispatch_speedup(recorder):
     stream = make_rng(53).choices(pool, weights=weights, k=ROWS)
 
     def run(program):
-        start = time.perf_counter()
-        report = program.run(stream)
-        return report, time.perf_counter() - start
+        def cold_run():
+            program.clear_memo()  # every repeat starts from an empty memo
+            return program.run(stream)
+
+        return _median_timed(cold_run)
 
     naive_report, naive_seconds = run(naive)
     merged_report, merged_seconds = run(merged)
@@ -616,7 +638,7 @@ def test_perf_parquet_apply(phone_parquet, recorder):
         "rows_per_sec": rate,
         "workers": WORKERS,
     }
-    print(f"\nparquet apply over {ROWS} rows on {os.cpu_count()} CPU(s)")
+    print(f"\nparquet apply over {ROWS} rows on {CORES} usable CPU(s)")
     print(
         format_table(
             ["apply path", "latency", "throughput"],

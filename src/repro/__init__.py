@@ -57,7 +57,6 @@ from repro.engine import (
     CompiledProgram,
     DatasetApplyResult,
     RegistryEntry,
-    ShardedExecutor,
     ShardedTableExecutor,
     TransformEngine,
     apply_dataset,
@@ -101,7 +100,6 @@ __all__ = [
     "RegistryEntry",
     "ReplaceOperation",
     "SerializationError",
-    "ShardedExecutor",
     "ShardedTableExecutor",
     "SynthesisError",
     "SynthesisResult",

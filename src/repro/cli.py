@@ -109,7 +109,6 @@ from repro.util.csvio import resolve_column
 from repro.util.errors import CLXError
 from repro.util.text import format_table
 from repro.util.validate import (
-    validated_adaptive_target,
     validated_chunk_size,
     validated_memo_size,
     validated_workers,
@@ -417,9 +416,6 @@ def _command_apply(args: argparse.Namespace) -> int:
     workers = validated_workers(args.workers, "--workers")
     chunk_size = validated_chunk_size(args.chunk_size, "--chunk-size")
     memo_size = validated_memo_size(args.memo_size, "--memo-size")
-    adaptive_target_ms = validated_adaptive_target(
-        args.adaptive_chunks, "--adaptive-chunks"
-    )
     if args.output_column and len(args.program) > 1:
         raise CLXError(
             "--output-column is ambiguous with multiple programs; "
@@ -525,7 +521,6 @@ def _command_apply(args: argparse.Namespace) -> int:
         chunk_size=chunk_size,
         on_error=args.on_error,
         fault_policy=fault_policy,
-        adaptive_target_ms=adaptive_target_ms,
     ) as executor:
         shard_bytes = validated_chunk_size(args.shard_bytes, "--shard-bytes")
         if args.output_dir:
@@ -1108,15 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on each program's value->output dispatch memo; repeated "
         "values skip regex work entirely (default "
         f"{DEFAULT_MEMO_SIZE}; 0 disables memoization)",
-    )
-    apply_cmd.add_argument(
-        "--adaptive-chunks",
-        type=int,
-        default=None,
-        metavar="TARGET_MS",
-        help="adapt chunk/shard sizes toward this per-task latency target "
-        "in milliseconds, instead of the static --chunk-size/--shard-bytes "
-        "(default: off; sink bytes are identical either way)",
     )
     apply_cmd.set_defaults(handler=_command_apply)
 

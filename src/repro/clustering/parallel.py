@@ -5,39 +5,31 @@ profile arbitrarily large columns in bounded memory, and
 :meth:`~repro.clustering.incremental.ColumnProfile.merge` made the
 result associative.  This module supplies the missing piece: the shard
 *sources*.  :class:`ParallelProfiler` splits the input, profiles every
-shard in a separate process, and reduces with
-:meth:`~repro.clustering.incremental.ColumnProfile.merge_all`, producing
-the same leaf patterns and counts — and therefore the same lowered
-:class:`~repro.clustering.hierarchy.PatternHierarchy` — as the serial
-pass.
+shard in a separate process, and folds the shard profiles with
+:meth:`~repro.clustering.incremental.ColumnProfile.merge` in input
+order, producing the same leaf patterns and counts — and therefore the
+same lowered :class:`~repro.clustering.hierarchy.PatternHierarchy` and
+fingerprint — as the serial pass.
 
-Three shard sources are supported:
+Two shard sources are supported:
 
 * **iterables** (:meth:`ParallelProfiler.profile`) — chunks of values
   are fanned out through a bounded in-flight window, so a generator
   over a huge stream is pulled at the pace shard profiles come back;
-* **CSV files on disk** (:meth:`ParallelProfiler.profile_file`) —
-  the file is split into newline-aligned **byte ranges**, one per
-  worker, and each worker parses its own range; the parent process
-  never touches a single data row.  When a quoted field turns out to
-  contain an embedded newline, the split is transparently redone on
-  **record** boundaries (one cheap quote-parity scan in the parent —
-  :func:`~repro.util.csvio.record_aligned_offsets`), so such files
-  profile correctly at any worker count;
-* **partitioned datasets** (:meth:`ParallelProfiler.profile_dataset`) —
-  every part of a :class:`~repro.dataset.dataset.Dataset` becomes one
-  or more shards (worker slots are allotted to parts by size), merged
-  in stable part order.  Line-record parts (CSV/JSONL) shard on byte
-  ranges; rowgroup parts (parquet/arrow) shard on row-group index
-  ranges through their IO backend
-  (:meth:`~repro.dataset.backends.base.Backend.plan_shards`), and
-  remote parts stream through the opener seam — the shard worker never
-  cares which it got.
+* **files and partitioned datasets** (:meth:`ParallelProfiler.profile_file`,
+  :meth:`ParallelProfiler.profile_dataset`) — every part is cut into
+  record-aligned shards by the planner apply uses
+  (:func:`~repro.dataset.shards.plan_part`): byte ranges for CSV/JSONL,
+  so a quoted field with an embedded newline is never split, and
+  row-group ranges for Parquet/Arrow.  Each worker reads and parses its
+  own shard; the parent reads nothing but headers.
 
-With one worker every entry point degrades to the serial profiler in
-process — no pool is spawned.  A worker process that dies mid-shard
-raises :class:`~repro.util.errors.CLXError` in the parent instead of
-hanging it.
+Both drain through :class:`~repro.util.pools.ResilientPool`, the pool
+apply uses, so a worker that dies mid-shard raises
+:class:`~repro.util.errors.CLXError` naming the file and byte range
+instead of hanging the parent, and a non-UTF-8 byte names its file,
+physical line, and absolute byte offset.  With one worker every entry
+point degrades to the serial profiler in process — no pool is spawned.
 """
 
 from __future__ import annotations
@@ -46,16 +38,18 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.clustering.hierarchy import PatternHierarchy
 from repro.clustering.incremental import ColumnProfile, IncrementalProfiler
-from repro.dataset.backends import backend_by_name, open_locator
-from repro.dataset.dataset import Dataset
-from repro.dataset.readers import jsonl_value, parse_jsonl_row, read_csv_header
-from repro.util.csvio import record_aligned_offsets, record_open_after, resolve_column
-from repro.util.errors import CLXError, ValidationError
-from repro.util.pools import chunked, map_ordered
+from repro.dataset.backends import backend_by_name
+from repro.dataset.dataset import Dataset, DatasetPart
+from repro.dataset.readers import jsonl_value, parse_jsonl_row
+from repro.dataset.shards import DEFAULT_APPLY_SHARD_BYTES, Shard, plan_part
+from repro.util.csvio import resolve_column
+from repro.util.errors import ValidationError
+from repro.util.faults import maybe_fire
+from repro.util.pools import FaultPolicy, ResilientPool, chunked
 from repro.util.validate import validated_chunk_size, validated_workers
 
 #: Default number of values per fan-out chunk for iterable inputs; large
@@ -66,14 +60,9 @@ DEFAULT_CHUNK_ROWS = 16_384
 # exactly one column, so a module global is safe).
 _WORKER_PROFILER: Optional[IncrementalProfiler] = None
 
-
-class MultilineRecordError(ValidationError):
-    """A newline-aligned shard met a record spanning physical lines.
-
-    Raised inside a worker and caught by the parent, which retries the
-    file with record-aligned shard boundaries; it only escapes to
-    callers feeding shards by hand.
-    """
+#: One profile shard task: the shard, the column to read (a header index
+#: for CSV parts, a key or column name otherwise), and the delimiter.
+ShardTask = Tuple[Shard, Union[str, int], str]
 
 
 def _init_profiler_worker(profiler: IncrementalProfiler) -> None:
@@ -87,174 +76,37 @@ def _profile_chunk(values: List[str]) -> ColumnProfile:
     return _WORKER_PROFILER.new_profile().observe_all(values)
 
 
-def _shard_lines(
-    path: str, start: int, end: int, encoding: str, skip_first: bool, exact: bool = False
-) -> Iterator[str]:
-    """Decoded physical lines of ``path`` owned by the shard [start, end).
+def _profile_shard(task: ShardTask) -> ColumnProfile:
+    """Read one planned shard and profile its column in a worker.
 
-    Two ownership rules, chosen by ``exact``:
-
-    * ``exact=False`` — the classic byte-range rule: a shard that does
-      not begin at the data start discards its first ``readline`` (that
-      line — whole or partial — was read to completion by the previous
-      shard) and then owns every line *beginning* at or before ``end``,
-      reading the last one past ``end`` if it straddles the boundary.
-      Contiguous shards therefore partition the file's lines exactly,
-      no matter where the byte boundaries fall.
-    * ``exact=True`` — ``start`` and ``end`` are known record
-      boundaries (from a quote-parity scan): the shard owns exactly the
-      lines beginning in ``[start, end)``, no skipping, no overshoot.
-
-    Opens through the locator seam (local path or registered URL
-    scheme).  An undecodable byte is rewrapped as a
-    :class:`~repro.util.errors.CLXError` naming the file and the
-    absolute byte offset of the offending byte, never a bare
-    ``UnicodeDecodeError``.
+    A CSV row shorter than the header contributes ``""`` and surplus
+    cells are ignored; a JSONL value is looked up by key (missing or
+    ``null`` is ``""``) — the same rules as the serial
+    :meth:`~repro.dataset.dataset.Dataset.iter_values` pass.
     """
-    with open_locator(path) as handle:
-        handle.seek(start)
-        if skip_first and not exact:
-            handle.readline()
-        while True:
-            position = handle.tell()
-            if position > end or (exact and position >= end):
-                return
-            raw = handle.readline()
-            if not raw:
-                return
-            try:
-                yield raw.decode(encoding)
-            except UnicodeDecodeError as error:
-                bad = raw[error.start] if error.start < len(raw) else 0
-                raise CLXError(
-                    f"{path}: invalid {encoding} byte 0x{bad:02x} at byte "
-                    f"offset {position + error.start}; re-encode the file "
-                    f"as {encoding} before profiling"
-                ) from None
-
-
-def _single_record_lines(lines: Iterable[str], delimiter: str, source: str) -> Iterator[str]:
-    """Pass lines through, flagging records that span physical lines.
-
-    Byte-range shards align on physical lines, so a quoted field with
-    an embedded newline parses differently depending on where the shard
-    boundaries fall — silent corruption.  The line that *opens* such a
-    field is owned by exactly one shard, and (until the first
-    multi-line record) every shard's scan starts at a true record
-    boundary, so checking each owned line with the csv module's own
-    quoting rules (:func:`~repro.util.csvio.record_open_after`; a stray
-    ``"`` in an unquoted cell is data, not a delimiter) catches such
-    files deterministically, whatever the boundaries.  The parent
-    answers :class:`MultilineRecordError` by re-splitting the file on
-    record boundaries and retrying.
-    """
-    for line in lines:
-        if record_open_after(line, delimiter):
-            raise MultilineRecordError(
-                f"{source}: a quoted field contains an embedded newline; "
-                "re-shard on record boundaries"
-            )
-        yield line
-
-
-@dataclass(frozen=True)
-class _FileShard:
-    """One picklable unit of shard profiling work.
-
-    Attributes:
-        path: Locator the shard reads (path or URL).
-        format: The part's IO backend name (``"csv"``, ``"jsonl"``,
-            ``"parquet"``, ...).
-        column: Column index (CSV) or key/column name to profile.
-        delimiter: CSV delimiter (ignored elsewhere).
-        encoding: Text encoding (line backends).
-        start: First byte of the shard — or, for rowgroup backends,
-            the first row-group index of the span.
-        end: First byte (row-group index) past the shard.
-        skip_first: Newline-aligned ownership rule (see
-            :func:`_shard_lines`).
-        exact: Both bounds are known record boundaries.
-        check_multiline: Raise :class:`MultilineRecordError` when a
-            record leaves a quoted field open across physical lines.
-    """
-
-    path: str
-    format: str
-    column: Union[str, int]
-    delimiter: str
-    encoding: str
-    start: int
-    end: int
-    skip_first: bool
-    exact: bool
-    check_multiline: bool
-
-
-def _profile_file_shard(shard: _FileShard) -> ColumnProfile:
-    """Profile one shard in a worker, dispatching through the backend."""
     assert _WORKER_PROFILER is not None, "worker used before initialization"
+    shard, column, delimiter = task
+    maybe_fire("worker.shard", key=f"{shard.locator}:{shard.start}")
     profile = _WORKER_PROFILER.new_profile()
     backend = backend_by_name(shard.format)
     if not backend.line_records:
-        # Rowgroup shard: the backend streams one column of the row
-        # groups [start, end) already stringified.
         return profile.observe_all(
-            backend.iter_shard_values(shard.path, shard.start, shard.end, shard.column)
+            backend.iter_shard_values(shard.locator, shard.start, shard.end, column)
         )
-    lines = _shard_lines(
-        shard.path, shard.start, shard.end, shard.encoding, shard.skip_first, shard.exact
+    lines = backend.read_shard_lines(
+        shard.locator, shard.start, shard.end, first_line=shard.first_line
     )
     if backend.csv_quoting:
-        if shard.check_multiline:
-            lines = _single_record_lines(lines, shard.delimiter, shard.path)
-        column_index = shard.column
-        assert isinstance(column_index, int)
-        for row in csv.reader(lines, delimiter=shard.delimiter):
-            if not row:
-                continue  # blank line, as csv.DictReader skips them
-            profile.observe(row[column_index] if column_index < len(row) else "")
-    else:
-        for line in lines:
-            if not line.strip():
-                continue
-            profile.observe(jsonl_value(parse_jsonl_row(line, shard.path), shard.column))
+        assert isinstance(column, int)
+        for row in csv.reader(lines, delimiter=delimiter):
+            if row:  # blank lines are skipped, as csv.DictReader skips them
+                profile.observe(row[column] if column < len(row) else "")
+        return profile
+    assert isinstance(column, str)
+    for number, line in enumerate(lines, start=shard.first_line):
+        if line.strip():
+            profile.observe(jsonl_value(parse_jsonl_row(line, shard.locator, number), column))
     return profile
-
-
-def _resolve_column_index(header: List[str], column: Union[str, int]) -> int:
-    """Resolve a column given by name or zero-based index against the header."""
-    return header.index(resolve_column(header, column))
-
-
-def _split_points(start: int, end: int, pieces: int) -> List[int]:
-    """``pieces`` contiguous span starts covering [start, end), ascending."""
-    span = max(1, (end - start + pieces - 1) // pieces)
-    return list(range(start, end, span))
-
-
-def _allot_spans(sizes: Sequence[int], workers: int) -> List[int]:
-    """Split ``workers`` span slots across parts, proportional to size.
-
-    Every part gets at least one span; leftover slots go to the largest
-    parts by the largest-remainder method, deterministically.
-    """
-    counts = [1] * len(sizes)
-    extra = workers - len(sizes)
-    if extra <= 0:
-        return counts
-    total = sum(sizes)
-    if total <= 0:
-        return counts
-    quotas = [extra * size / total for size in sizes]
-    for index, quota in enumerate(quotas):
-        counts[index] += int(quota)
-    leftover = extra - sum(int(quota) for quota in quotas)
-    by_remainder = sorted(
-        range(len(sizes)), key=lambda i: (-(quotas[i] - int(quotas[i])), i)
-    )
-    for index in by_remainder[:leftover]:
-        counts[index] += 1
-    return counts
 
 
 @dataclass
@@ -264,8 +116,8 @@ class ParallelProfiler:
     The per-shard work is an ordinary
     :class:`~repro.clustering.incremental.IncrementalProfiler` pass and
     the reduce is the associative
-    :meth:`~repro.clustering.incremental.ColumnProfile.merge_all`, so
-    the result has exactly the serial path's leaf patterns and counts
+    :meth:`~repro.clustering.incremental.ColumnProfile.merge`, so the
+    result has exactly the serial path's leaf patterns and counts
     (exemplar *selection* may differ once a reservoir fills — the same
     caveat shard-merge always had).
 
@@ -306,45 +158,25 @@ class ParallelProfiler:
         """
         if self.workers == 1:
             return self.profiler.profile(values)
-        merged: Optional[ColumnProfile] = None
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_profiler_worker,
-            initargs=(self.profiler,),
-        ) as pool:
-            shards = map_ordered(
-                pool, _profile_chunk, chunked(values, self.chunk_size), self.workers + 2
-            )
-            for shard in shards:
-                merged = shard if merged is None else merged.merge(shard)
-        if merged is None:
-            merged = self.profiler.new_profile()
-        return self._checked(merged)
+        tasks = enumerate(chunked(values, self.chunk_size))
+        return self._checked(self._merge(_profile_chunk, tasks))
 
     # ------------------------------------------------------------------
-    # Byte-range file fan-out
+    # Record-aligned shard fan-out
     # ------------------------------------------------------------------
     def profile_file(
         self,
         path: Union[str, Path],
         column: Union[str, int],
         delimiter: str = ",",
-        encoding: str = "utf-8",
     ) -> ColumnProfile:
-        """Profile one column of a CSV file via byte-range shards.
+        """Profile one column of a CSV file via record-aligned shards.
 
         The parent reads only the header; the data region is split into
-        ``workers`` newline-aligned byte ranges and each worker parses
-        and profiles its own range, so CSV decoding itself runs on all
-        cores.  Rows shorter than the header contribute ``""`` for a
-        missing column and surplus cells are ignored, matching the
-        streaming profile path of the CLI.
-
-        Quoted fields containing embedded newlines are handled: a
-        worker that meets one flags the file, and the parent re-splits
-        it on **record** boundaries with one quote-parity scan
-        (:func:`~repro.util.csvio.record_aligned_offsets`) and retries,
-        so the result matches the serial pass at any worker count.
+        byte ranges on record boundaries and each worker parses and
+        profiles its own range, so CSV decoding itself runs on all
+        cores.  Quoted fields containing embedded newlines stay whole,
+        and the result matches the serial pass at any worker count.
 
         Raises:
             ValidationError: If the header is missing, the column is
@@ -352,55 +184,25 @@ class ParallelProfiler:
                 does not ``allow_empty``).
         """
         source = Path(path)
-        header, data_start = read_csv_header(source, delimiter, encoding)
-        column_index = _resolve_column_index(header, column)
-        size = source.stat().st_size
+        part = DatasetPart(path=source, format="csv", size=source.stat().st_size)
+        return self.profile_dataset(Dataset([part]), column, delimiter)
 
-        if self.workers == 1 or size <= data_start:
-            reader = csv.reader(
-                _shard_lines(str(source), data_start, size, encoding, skip_first=False),
-                delimiter=delimiter,
-            )
-            values = (
-                row[column_index] if column_index < len(row) else ""
-                for row in reader
-                if row
-            )
-            profile = self.profiler.new_profile().observe_all(values)
-            return self._checked(profile)
-
-        shards = self._csv_shards(
-            source, data_start, size, column_index, delimiter, encoding,
-            spans=self.workers, record_aligned=False,
-        )
-        try:
-            return self._checked(self._run_file_shards(shards))
-        except MultilineRecordError:
-            shards = self._csv_shards(
-                source, data_start, size, column_index, delimiter, encoding,
-                spans=self.workers, record_aligned=True,
-            )
-            return self._checked(self._run_file_shards(shards))
-
-    # ------------------------------------------------------------------
-    # Partitioned-dataset fan-out
-    # ------------------------------------------------------------------
     def profile_dataset(
         self,
         dataset: Union[Dataset, str, Sequence[Union[str, Path]]],
         column: Union[str, int],
         delimiter: str = ",",
-        encoding: str = "utf-8",
     ) -> ColumnProfile:
         """Profile one column across every part of a partitioned dataset.
 
-        Each CSV/JSONL part contributes one or more byte-range shards
-        (worker slots are allotted to parts proportional to size), all
-        profiled through one pool and merged in stable part order — the
-        result has the same leaf patterns and counts as profiling the
-        concatenated column serially.  CSV parts get the same embedded-
-        newline retry as :meth:`profile_file`; JSONL parts are immune
-        (a JSON string cannot contain a literal newline).
+        Every part is cut into record-aligned shards of at most
+        ``min(DEFAULT_APPLY_SHARD_BYTES, ceil(total_bytes / workers))``
+        bytes, so even a small dataset keeps every worker busy.  All
+        shards are profiled through one pool and merged in stable part
+        order — the result has the same leaf patterns and counts as
+        profiling the concatenated column serially.  The header is
+        resolved per part, so a column addressed by name may sit at a
+        different index in each CSV part.
 
         Args:
             dataset: A resolved :class:`~repro.dataset.dataset.Dataset`,
@@ -408,10 +210,11 @@ class ParallelProfiler:
                 globs, directories).
             column: Column name, or zero-based index (CSV parts only).
             delimiter: CSV delimiter.
-            encoding: Text encoding.
 
         Raises:
-            CLXError: If the specs resolve to no files.
+            CLXError: If the specs resolve to no files, a part holds a
+                non-UTF-8 byte (named by file, line, and byte offset),
+                or a worker keeps dying on a shard.
             ValidationError: If some part cannot supply the column, or
                 the dataset has no data rows (and the profiler does not
                 ``allow_empty``).
@@ -426,144 +229,47 @@ class ParallelProfiler:
             )
             return self._checked(profile)
 
-        shards = self._dataset_shards(dataset, column, delimiter, encoding)
-        if not shards:
-            return self._checked(self.profiler.new_profile())
-        try:
-            return self._checked(self._run_file_shards(shards))
-        except MultilineRecordError:
-            shards = self._dataset_shards(
-                dataset, column, delimiter, encoding, record_aligned=True
-            )
-            return self._checked(self._run_file_shards(shards))
+        workers = self.workers or 1
+        shard_bytes = max(1, min(DEFAULT_APPLY_SHARD_BYTES, -(-dataset.total_size // workers)))
+        tasks = self._plan(dataset, column, delimiter, shard_bytes)
+        return self._checked(self._merge(_profile_shard, tasks, on_failure=_poisoned_shard))
 
     # ------------------------------------------------------------------
-    # Shard planning and execution
+    # Planning and the pool
     # ------------------------------------------------------------------
-    def _run_file_shards(self, shards: Sequence[_FileShard]) -> ColumnProfile:
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(shards)),
+    @staticmethod
+    def _plan(
+        dataset: Dataset, column: Union[str, int], delimiter: str, shard_bytes: int
+    ) -> Iterator[Tuple[Shard, ShardTask]]:
+        for part in dataset.parts:
+            header, shards = plan_part(part, shard_bytes, delimiter)
+            part_column = column
+            if header is not None:
+                part_column = header.index(resolve_column(header, column))
+            for shard in shards:
+                yield shard, (shard, part_column, delimiter)
+
+    def _build_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
             initializer=_init_profiler_worker,
             initargs=(self.profiler,),
-        ) as pool:
-            profiles = list(map_ordered(pool, _profile_file_shard, shards, len(shards)))
-        return ColumnProfile.merge_all(profiles)
+        )
 
-    def _csv_shards(
+    def _merge(
         self,
-        source: Union[str, Path],
-        data_start: int,
-        size: int,
-        column_index: int,
-        delimiter: str,
-        encoding: str,
-        spans: int,
-        record_aligned: bool,
-    ) -> List[_FileShard]:
-        """Byte-range shards over one CSV file's data region."""
-        if size <= data_start:
-            return []
-        locator = str(source)
-        starts = _split_points(data_start, size, spans)
-        if record_aligned:
-            starts = [data_start] + record_aligned_offsets(
-                locator, data_start, size, starts[1:], delimiter, encoding,
-                opener=open_locator,
-            )
-        bounds = starts + [size]
-        return [
-            _FileShard(
-                path=locator,
-                format="csv",
-                column=column_index,
-                delimiter=delimiter,
-                encoding=encoding,
-                start=start,
-                end=end,
-                skip_first=not record_aligned and start != data_start,
-                exact=record_aligned,
-                check_multiline=not record_aligned,
-            )
-            for start, end in zip(bounds, bounds[1:])
-            if start < end
-        ]
-
-    def _dataset_shards(
-        self,
-        dataset: Dataset,
-        column: Union[str, int],
-        delimiter: str,
-        encoding: str,
-        record_aligned: bool = False,
-    ) -> List[_FileShard]:
-        """One or more shards per dataset part, in stable part order.
-
-        Line-record parts shard on byte ranges; rowgroup parts shard on
-        row-group index ranges through
-        :meth:`~repro.dataset.backends.base.Backend.plan_shards`, sized
-        so each part still contributes roughly its allotted span count.
-        """
-        parts = dataset.parts
-        counts = _allot_spans([part.size for part in parts], self.workers)
-        shards: List[_FileShard] = []
-        for part, spans in zip(parts, counts):
-            backend = backend_by_name(part.format)
-            backend.require()
-            locator = part.locator
-            if part.size <= 0:
-                continue
-            if not backend.line_records:
-                target_bytes = max(1, -(-part.size // spans))
-                shards.extend(
-                    _FileShard(
-                        path=locator,
-                        format=part.format,
-                        column=column,
-                        delimiter=delimiter,
-                        encoding=encoding,
-                        start=start,
-                        end=end,
-                        skip_first=False,
-                        exact=True,
-                        check_multiline=False,
-                    )
-                    for start, end, _ in backend.plan_shards(locator, target_bytes)
-                )
-                continue
-            if backend.has_header_row:
-                header, data_start = read_csv_header(locator, delimiter, encoding)
-                shards.extend(
-                    self._csv_shards(
-                        locator,
-                        data_start,
-                        part.size,
-                        _resolve_column_index(header, column),
-                        delimiter,
-                        encoding,
-                        spans=spans,
-                        record_aligned=record_aligned,
-                    )
-                )
-                continue
-            starts = _split_points(0, part.size, spans)
-            bounds = starts + [part.size]
-            shards.extend(
-                _FileShard(
-                    path=locator,
-                    format=part.format,
-                    column=column,
-                    delimiter=delimiter,
-                    encoding=encoding,
-                    start=start,
-                    end=end,
-                    skip_first=start != 0,
-                    exact=False,
-                    check_multiline=False,
-                )
-                for start, end in zip(bounds, bounds[1:])
-                if start < end
-            )
-        return shards
+        fn: Callable[[Any], ColumnProfile],
+        keyed_tasks: Iterable[Tuple[Any, Any]],
+        on_failure: Optional[Callable[[Any, Any, str, int], ColumnProfile]] = None,
+    ) -> ColumnProfile:
+        """Profile every task through one pool, folding results in order."""
+        merged: Optional[ColumnProfile] = None
+        window = (self.workers or 1) + 2
+        pool: ResilientPool[Any, ColumnProfile] = ResilientPool(self._build_pool)
+        with pool:
+            for _, shard in pool.map_ordered_keyed(fn, keyed_tasks, window, on_failure):
+                merged = shard if merged is None else merged.merge(shard)
+        return merged if merged is not None else self.profiler.new_profile()
 
     # ------------------------------------------------------------------
     # Convenience
@@ -576,3 +282,8 @@ class ParallelProfiler:
         if profile.row_count == 0 and not self.profiler.allow_empty:
             raise ValidationError("cannot profile an empty dataset")
         return profile
+
+
+def _poisoned_shard(key: Shard, task: ShardTask, kind: str, attempts: int) -> ColumnProfile:
+    """A shard whose worker died (or hung) on every attempt aborts the run."""
+    raise key.poisoned(FaultPolicy().fault_reason(kind, attempts))

@@ -11,12 +11,14 @@ the pipeline builds on:
   ordering, format inferred per file, per-file schema checks);
 * :mod:`repro.dataset.readers` streams column values out of each part
   (CSV or JSON Lines) with the same missing-column semantics as the
-  byte-range profiling path.
+  shard profiling path;
+* :mod:`repro.dataset.shards` cuts each part into record-aligned shards
+  for the parallel profile and apply paths.
 
 On top of it, :meth:`ParallelProfiler.profile_dataset
 <repro.clustering.parallel.ParallelProfiler.profile_dataset>` profiles
 every part as one or more shards merged through the associative
-:meth:`~repro.clustering.incremental.ColumnProfile.merge_all`, and the
+:meth:`~repro.clustering.incremental.ColumnProfile.merge`, and the
 CLI's ``profile``/``compile``/``apply`` accept globs and multiple paths
 directly (``apply --output-dir`` preserves partition names).
 """

@@ -2,9 +2,9 @@
 
 These are the single-process readers behind
 :meth:`Dataset.iter_values <repro.dataset.dataset.Dataset.iter_values>`
-and the schema checks; the multi-process byte-range readers live with
-the profiler in :mod:`repro.clustering.parallel` and share the header
-scan defined here.
+and the schema checks; the multi-process shard readers
+(:meth:`~repro.dataset.backends.base.Backend.read_shard_lines`, planned
+by :mod:`repro.dataset.shards`) share the header scan defined here.
 
 Every open goes through
 :func:`~repro.dataset.backends.remote.open_locator` (binary mode, lines

@@ -12,14 +12,10 @@ production scale:
   with full JSON round-trip;
 * :mod:`repro.engine.executor` — :class:`TransformEngine`, the stateless
   batch/streaming/table executor;
-* :mod:`repro.engine.parallel` — :class:`ShardedExecutor`, which fans a
-  compiled program across worker processes with ordered, chunked,
-  bounded-memory results (also reachable as
-  :meth:`TransformEngine.run_parallel`), and
-  :class:`ShardedTableExecutor`, the pipelined multi-column table apply
-  whose workers parse and re-encode CSV/JSONL chunks themselves —
-  including whole mixed-format datasets via
-  :meth:`ShardedTableExecutor.run_dataset` and the
+* :mod:`repro.engine.parallel` — :class:`ShardedTableExecutor`, the
+  multi-column dataset apply whose workers read, parse, transform and
+  re-encode their own record-aligned shards
+  (:meth:`ShardedTableExecutor.run_dataset`), and the
   :func:`apply_dataset` sink orchestration;
 * :mod:`repro.engine.cache` — :class:`ArtifactCache`, a
   content-addressed store of compiled artifacts keyed on (column
@@ -41,7 +37,6 @@ from repro.engine.compiled import CompiledProgram, compile_program
 from repro.engine.executor import TransformEngine
 from repro.engine.parallel import (
     DatasetApplyResult,
-    ShardedExecutor,
     ShardedTableExecutor,
     TableSpec,
     apply_dataset,
@@ -68,7 +63,6 @@ __all__ = [
     "CompiledProgram",
     "DatasetApplyResult",
     "RegistryEntry",
-    "ShardedExecutor",
     "ShardedTableExecutor",
     "TableSpec",
     "TransformEngine",

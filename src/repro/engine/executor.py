@@ -155,38 +155,6 @@ class TransformEngine:
             for value in chunk:
                 yield run_one(value)
 
-    def run_parallel(
-        self,
-        values: Iterable[str],
-        workers: Optional[int] = None,
-        chunk_size: int = 8192,
-    ) -> TransformReport:
-        """Batch-apply across ``workers`` processes (order preserved).
-
-        The compiled program is serialized once and rebuilt in each
-        worker; chunks of values are fanned out and reassembled in input
-        order, so the report is identical to :meth:`run`'s.  With one
-        worker (or on a single-CPU host when ``workers`` is None) this
-        falls back to the in-process :meth:`run` — no pool is spawned.
-
-        Args:
-            values: The values to transform.
-            workers: Worker process count; defaults to ``os.cpu_count()``.
-            chunk_size: Values per worker task.
-
-        Returns:
-            The same :class:`~repro.core.result.TransformReport` that
-            :meth:`run` produces.
-        """
-        resolved = validated_workers(workers)
-        chunk_size = validated_chunk_size(chunk_size)
-        if resolved <= 1:
-            return self.run(list(values))
-        from repro.engine.parallel import ShardedExecutor
-
-        with ShardedExecutor(self._compiled, workers=resolved, chunk_size=chunk_size) as executor:
-            return executor.run(values)
-
     # ------------------------------------------------------------------
     # Datasets
     # ------------------------------------------------------------------
@@ -209,7 +177,6 @@ class TransformEngine:
         shard_timeout: Optional[float] = None,
         max_retries: int = 0,
         resume: bool = False,
-        adaptive_target_ms: Optional[int] = None,
         assume_csv: bool = False,
     ) -> "DatasetApplyResult":
         """Apply this engine's program across a partitioned dataset.
@@ -258,9 +225,6 @@ class TransformEngine:
                 it is declared poison.
             resume: With ``output_dir``, skip partitions the run
                 manifest records as complete.
-            adaptive_target_ms: When set, chunk/shard sizes adapt
-                toward this per-task latency target instead of staying
-                at the static knobs (sink bytes are unaffected).
             assume_csv: Treat extensionless partition files as CSV
                 instead of refusing them (only used when ``dataset``
                 arrives as unresolved specs).
@@ -301,7 +265,6 @@ class TransformEngine:
             chunk_size=chunk_size,
             on_error=on_error,
             fault_policy=FaultPolicy(max_retries=max_retries, shard_timeout=shard_timeout),
-            adaptive_target_ms=adaptive_target_ms,
         ) as executor:
             return apply_dataset(
                 executor,
@@ -381,9 +344,10 @@ class TransformEngine:
                 transforms it.  ``None`` cells are treated as ``""``.
             workers: ``None`` (default) or 1 runs in-process; larger
                 values fan chunks of rows across that many worker
-                processes (``run_parallel``-style: compiled artifacts
-                rebuilt per worker, ordered results, bounded in-flight
-                window).  The output is identical either way.
+                processes through the same fault-tolerant pool as
+                dataset apply (compiled artifacts rebuilt per worker,
+                ordered results, bounded in-flight window).  The output
+                is identical either way.
             chunk_size: Rows per chunk / worker task.
 
         Returns:

@@ -2,34 +2,24 @@
 
 A :class:`~repro.engine.compiled.CompiledProgram` already crosses process
 boundaries for free (it JSON round-trips), so the apply half of CLX
-parallelizes trivially: serialize the artifact once, rebuild it in each
-worker, and stream chunks through a pool.  What needs care is keeping
-the protocol cheap and the memory bounded.  Three executors share the
-same discipline (bounded in-flight window, strict input order, dead
-workers surfaced as :class:`~repro.util.errors.CLXError` instead of a
-hang — see :mod:`repro.util.pools`):
+parallelizes simply: serialize the artifact once, rebuild it in each
+worker, and let workers read their own share of the input.  Every
+fan-out here drains through one
+:class:`~repro.util.pools.ResilientPool` (bounded in-flight window,
+strict input order, dead or hung workers retried and then reported as a
+:class:`~repro.util.errors.CLXError` instead of a hang):
 
-* :class:`ShardedExecutor` — one program over a stream of values.  The
-  wire format is compact: each chunk returns ``(outputs,
-  pattern_indices)`` where the index points into the program's stable
-  pattern table, and the parent rehydrates real patterns from its own
-  table.
-* :class:`ShardedTableExecutor` — one program per column over a stream
-  of **raw physical lines**, CSV or JSON Lines.  Workers do their own
-  parse *and* serialize: each task carries unparsed lines plus their
-  input format, each result is one already-encoded CSV/JSONL text
-  chunk plus row/flagged counts, so the parent does no codec work at
-  all — it only splices ordered chunks to the sink.  This is what
+* :meth:`ShardedTableExecutor.run_dataset` — one program per column
+  over a partitioned dataset.  Parts are cut into record-aligned shards
+  by the shared planner (:func:`~repro.dataset.shards.plan_part`, the
+  same one the parallel profiler uses); each worker reads its own byte
+  range, parses it in the part's format, transforms, and re-encodes to
+  the sink format, so the parent does no row I/O or codec work at all —
+  it only splices ordered chunks to the sink, and the bytes are
+  identical at any worker count.  :func:`apply_dataset` wraps it with
+  sink orchestration (one spliced sink, or one output per partition)
+  shared by the CLI and the session/engine APIs; this is what
   ``repro-clx apply --workers N`` runs on.
-* :meth:`ShardedTableExecutor.run_dataset` — the cross-partition
-  dispatch layer: whole parts of a partitioned dataset (or byte-range
-  shards of large parts, record-aligned via
-  :func:`~repro.util.csvio.record_cut_points`) are handed to the same
-  worker pool, so small-file latencies overlap and every core stays
-  busy across partition boundaries while results still splice in
-  deterministic (part, offset) order.  :func:`apply_dataset` wraps it
-  with sink orchestration (one spliced sink, or one output per
-  partition) shared by the CLI and the session/engine APIs.
 * :func:`transform_table_parallel` — the mapping-rows counterpart
   behind :meth:`TransformEngine.transform_table(workers=N)
   <repro.engine.executor.TransformEngine.transform_table>`.
@@ -37,7 +27,6 @@ hang — see :mod:`repro.util.pools`):
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,14 +47,9 @@ from typing import (
     Union,
 )
 
-from repro.core.result import TransformReport
-from repro.dataset.backends import (
-    backend_by_name,
-    input_format_names,
-    open_locator,
-    sink_format_names,
-)
-from repro.dsl.interpreter import TransformOutcome
+from repro.dataset.backends import backend_by_name, sink_format_names
+from repro.dataset.dataset import Dataset, DatasetPart
+from repro.dataset.shards import DEFAULT_APPLY_SHARD_BYTES, Shard, plan_part
 from repro.engine.compiled import CompiledProgram
 from repro.engine.executor import TransformEngine
 from repro.engine.resilience import (
@@ -74,43 +58,18 @@ from repro.engine.resilience import (
     RunManifest,
     resynthesis_hint,
 )
-from repro.patterns.pattern import Pattern
-from repro.util.csvio import iter_record_cut_points, record_open_after, resolve_column
+from repro.util.csvio import record_open_after, resolve_column
 from repro.util.errors import CLXError, ValidationError
 from repro.util.faults import maybe_fire
-from repro.util.pools import (
-    FaultPolicy,
-    ResilientPool,
-    chunked,
-    indexed_chunks,
-    map_ordered,
-)
+from repro.util.pools import FaultPolicy, ResilientPool, indexed_chunks
 from repro.util.sinks import AtomicSink
-from repro.util.timing import Stopwatch
-from repro.util.validate import (
-    validated_adaptive_target,
-    validated_chunk_size,
-    validated_workers,
-)
+from repro.util.validate import validated_chunk_size, validated_workers
 
-#: Default number of values per worker task; large enough to amortize
-#: pickling and dispatch, small enough to keep the pipeline busy.
-DEFAULT_CHUNK_SIZE = 8192
-
-#: Default number of physical CSV lines per table-apply task.
+#: Default number of physical lines per transform batch inside a shard.
 DEFAULT_TABLE_CHUNK_LINES = 4096
-
-#: Default byte size of one cross-partition apply shard: parts larger
-#: than this split into several record-aligned byte ranges, so one huge
-#: partition cannot serialize the whole dataset behind a single worker.
-DEFAULT_APPLY_SHARD_BYTES = 1 << 20
 
 #: Error modes for record-level failures during a table apply.
 ERROR_MODES = ("abort", "quarantine")
-
-#: Wire format of one processed value chunk: transformed outputs plus,
-#: per value, an index into the program's pattern table (-1 = no match).
-ChunkResult = Tuple[List[str], List[int]]
 
 
 class TableChunk(NamedTuple):
@@ -128,81 +87,8 @@ class TableChunk(NamedTuple):
     flagged: int
     quarantined: Tuple[QuarantinedRecord, ...] = ()
 
-class AdaptiveChunker:
-    """Latency-driven task sizing for the parallel apply pipeline.
-
-    The static ``chunk_size`` / ``shard_bytes`` knobs assume every
-    column costs the same per row; a slow program (deep backtracking,
-    many guarded branches) can turn a "reasonable" chunk into a
-    multi-second task that starves the ordered drain.  An
-    ``AdaptiveChunker`` instead steers the next task's size toward a
-    per-task latency band around ``target_seconds``: a task slower than
-    twice the target halves the size, one faster than half the target
-    doubles it, both clamped to ``[minimum, maximum]``.  Every observed
-    latency is also recorded into a :class:`~repro.util.timing.Stopwatch`
-    so callers can report what the pipeline actually saw.
-
-    Sizing never changes *what* is computed — chunk boundaries only
-    group rows into tasks, and the sink bytes are an ordered
-    concatenation of per-row encodings — so adaptive runs stay
-    byte-identical to static ones.
-    """
-
-    __slots__ = ("_size", "_minimum", "_maximum", "_target", "stopwatch", "name")
-
-    def __init__(
-        self,
-        initial: int,
-        minimum: int,
-        maximum: int,
-        target_seconds: float,
-        name: str = "chunk",
-    ) -> None:
-        if minimum < 1 or maximum < minimum:
-            raise ValidationError(
-                f"adaptive bounds must satisfy 1 <= minimum <= maximum, "
-                f"got [{minimum}, {maximum}]"
-            )
-        if target_seconds <= 0:
-            raise ValidationError(
-                f"adaptive target must be positive, got {target_seconds}"
-            )
-        self._size = min(max(initial, minimum), maximum)
-        self._minimum = minimum
-        self._maximum = maximum
-        self._target = target_seconds
-        self.stopwatch = Stopwatch()
-        self.name = name
-
-    @property
-    def size(self) -> int:
-        """The size the next task should use."""
-        return self._size
-
-    @property
-    def target_seconds(self) -> float:
-        """Center of the per-task latency band."""
-        return self._target
-
-    def observe(self, seconds: float) -> None:
-        """Feed one observed per-task latency back into the sizer."""
-        self.stopwatch.record(self.name, seconds)
-        if seconds > self._target * 2 and self._size > self._minimum:
-            self._size = max(self._minimum, self._size // 2)
-        elif seconds < self._target / 2 and self._size < self._maximum:
-            self._size = min(self._maximum, self._size * 2)
-
-    def stats(self) -> Dict[str, float]:
-        """Aggregate view: samples seen, mean latency, current size."""
-        return {
-            "samples": float(self.stopwatch.count(self.name)),
-            "mean_seconds": self.stopwatch.mean(self.name),
-            "size": float(self._size),
-        }
-
 
 # Per-worker state installed by the pool initializers.
-_WORKER_STATE: Optional[Tuple[CompiledProgram, Dict[Pattern, int]]] = None
 _TABLE_STATE: Optional[Tuple["TableSpec", List[CompiledProgram], int]] = None
 _ROWS_STATE: Optional[List[Tuple[str, CompiledProgram]]] = None
 
@@ -216,11 +102,6 @@ def _coerce_program(program: Union[CompiledProgram, TransformEngine], owner: str
             f"got {type(program).__name__}"
         )
     return program
-
-
-def _pattern_table(compiled: CompiledProgram) -> List[Pattern]:
-    """The stable pattern table: target first, then branch patterns."""
-    return [compiled.target] + [branch.pattern for branch in compiled.program.branches]
 
 
 #: Wire form of one program for a pool initializer: the JSON artifact
@@ -239,144 +120,6 @@ def _program_from_wire(wire: ProgramWire) -> CompiledProgram:
     return CompiledProgram.loads(
         artifact, memo_size=memo_size, merged_dispatch=merged_dispatch
     )
-
-
-def _init_worker(wire: ProgramWire) -> None:
-    """Pool initializer: rebuild the compiled program once per worker."""
-    global _WORKER_STATE
-    compiled = _program_from_wire(wire)
-    index: Dict[Pattern, int] = {}
-    for position, pattern in enumerate(_pattern_table(compiled)):
-        index.setdefault(pattern, position)
-    _WORKER_STATE = (compiled, index)
-
-
-def _apply_chunk(values: List[str]) -> ChunkResult:
-    """Transform one chunk in a worker, returning the compact wire form."""
-    assert _WORKER_STATE is not None, "worker used before initialization"
-    compiled, index = _WORKER_STATE
-    report = compiled.run(values)
-    indices = [
-        -1 if pattern is None else index[pattern]
-        for pattern in report.matched_pattern
-    ]
-    return report.outputs, indices
-
-
-class ShardedExecutor:
-    """Apply one compiled program across worker processes.
-
-    The executor owns a lazily-created worker pool (so constructing one
-    is free until the first run) and can be reused across runs and
-    datasets, like the single-process engine.  Use it as a context
-    manager, or call :meth:`close` when done.
-
-    Args:
-        program: The :class:`CompiledProgram` to execute, or a
-            :class:`TransformEngine` wrapping one.
-        workers: Worker process count; defaults to ``os.cpu_count()``.
-        chunk_size: Values per worker task.
-    """
-
-    def __init__(
-        self,
-        program: Union[CompiledProgram, TransformEngine],
-        workers: Optional[int] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> None:
-        program = _coerce_program(program, "ShardedExecutor")
-        self._workers = validated_workers(workers)
-        self._chunk_size = validated_chunk_size(chunk_size)
-        self._compiled = program
-        self._wire = _program_wire(program)
-        self._table = _pattern_table(program)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def compiled(self) -> CompiledProgram:
-        """The compiled program this executor fans out."""
-        return self._compiled
-
-    @property
-    def workers(self) -> int:
-        """Number of worker processes."""
-        return self._workers
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_init_worker,
-                initargs=(self._wire,),
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedExecutor(target={self._compiled.target.notation()!r}, "
-            f"workers={self._workers}, chunk_size={self._chunk_size})"
-        )
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _rehydrate(self, result: ChunkResult) -> Iterator[TransformOutcome]:
-        outputs, indices = result
-        table = self._table
-        for output, position in zip(outputs, indices):
-            if position < 0:
-                yield TransformOutcome(output=output, matched=False, pattern=None)
-            else:
-                yield TransformOutcome(output=output, matched=True, pattern=table[position])
-
-    def run_iter(self, values: Iterable[str]) -> Iterator[TransformOutcome]:
-        """Stream ``values`` through the worker pool, in input order.
-
-        Chunks are submitted through a bounded window (a few more than
-        there are workers), so the input iterable is consumed at the
-        pace results are drained and memory stays proportional to
-        ``workers * chunk_size`` regardless of input size.
-        """
-        pool = self._ensure_pool()
-        results = map_ordered(
-            pool, _apply_chunk, chunked(values, self._chunk_size), self._workers + 2
-        )
-        for result in results:
-            yield from self._rehydrate(result)
-
-    def run(self, values: Iterable[str]) -> TransformReport:
-        """Batch-apply across the pool, returning the usual report.
-
-        Semantically identical to :meth:`TransformEngine.run` — same
-        outputs, same matched patterns, same order.
-        """
-        inputs = list(values)
-        outputs: List[str] = []
-        matched: List[Optional[Pattern]] = []
-        for outcome in self.run_iter(inputs):
-            outputs.append(outcome.output)
-            matched.append(outcome.pattern)
-        return TransformReport(
-            inputs=inputs,
-            outputs=outputs,
-            matched_pattern=matched,
-            target=self._compiled.target,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -572,17 +315,9 @@ def _init_table_worker(
     )
 
 
-def _transform_table_chunk(
-    task: Tuple[int, List[str], Optional[str], str]
-) -> TableChunk:
-    assert _TABLE_STATE is not None, "worker used before initialization"
-    spec, engines, _ = _TABLE_STATE
-    return _transform_lines(spec, engines, task[0], task[1], task[2], task[3])
-
-
 def _record_aligned_chunks(
     lines: Iterable[str],
-    chunk_size: Union[int, AdaptiveChunker],
+    chunk_size: int,
     first_line: int,
     delimiter: str,
     csv_quoting: bool = True,
@@ -596,14 +331,7 @@ def _record_aligned_chunks(
     the first record boundary at or past ``chunk_size`` lines.  With
     ``csv_quoting=False`` (JSON Lines) every physical line is a record
     and chunks close exactly at ``chunk_size``.
-
-    ``chunk_size`` may be an :class:`AdaptiveChunker`, whose current
-    size is re-read at every chunk boundary — latency feedback observed
-    while this generator is being drained resizes the *next* chunk.
     """
-    sizer = chunk_size if isinstance(chunk_size, AdaptiveChunker) else None
-    limit = sizer.size if sizer is not None else chunk_size
-    assert isinstance(limit, int)
     chunk: List[str] = []
     chunk_first = first_line
     line_number = first_line - 1
@@ -613,58 +341,33 @@ def _record_aligned_chunks(
         chunk.append(line)
         if csv_quoting:
             record_open = record_open_after(line, delimiter, record_open)
-        if len(chunk) >= limit and not record_open:
+        if len(chunk) >= chunk_size and not record_open:
             yield chunk_first, chunk
             chunk = []
             chunk_first = line_number + 1
-            if sizer is not None:
-                limit = sizer.size
     if chunk:
         yield chunk_first, chunk
-
-
-@dataclass(frozen=True)
-class _ApplyShard:
-    """One picklable unit of cross-partition apply work.
-
-    For line-record backends both bounds are exact byte offsets at
-    record boundaries (the planner aligns them with a quote-parity
-    scan), so the worker owns precisely the lines beginning in
-    ``[start, end)`` and ``first_line`` is the true physical line number
-    at ``start``.  For rowgroup backends (parquet/arrow) the bounds are
-    **row-group index ranges** and ``first_line`` is the 1-based index
-    of the span's first row — either way, error messages stay exact at
-    any shard geometry.
-    """
-
-    path: str
-    in_format: str
-    start: int
-    end: int
-    first_line: int
-    source: str
 
 
 def _transform_shard(
     spec: TableSpec,
     engines: Sequence[CompiledProgram],
     chunk_size: int,
-    shard: _ApplyShard,
+    shard: Shard,
 ) -> TableChunk:
     """Run one shard through the per-chunk pipeline.
 
     The shard's wire lines stream through :func:`_record_aligned_chunks`
-    at ``chunk_size`` lines per transform batch — the same knob the
-    parent-fed paths honor — so a byte-planned shard never materializes
-    more than one batch of parsed rows at a time.
+    at ``chunk_size`` lines per transform batch, so a byte-planned shard
+    never materializes more than one batch of parsed rows at a time.
     """
-    backend = backend_by_name(shard.in_format)
+    backend = backend_by_name(shard.format)
     pieces: List[str] = []
     rows = 0
     flagged = 0
     quarantined: List[QuarantinedRecord] = []
     lines = backend.read_shard_lines(
-        shard.path,
+        shard.locator,
         shard.start,
         shard.end,
         collect_bad=spec.on_error == "quarantine",
@@ -677,7 +380,7 @@ def _transform_shard(
         spec.delimiter,
         csv_quoting=backend.csv_quoting,
     ):
-        piece = _transform_lines(spec, engines, start, chunk, shard.source, shard.in_format)
+        piece = _transform_lines(spec, engines, start, chunk, shard.locator, shard.format)
         pieces.append(piece.text)
         rows += piece.rows
         flagged += piece.flagged
@@ -685,39 +388,40 @@ def _transform_shard(
     return TableChunk("".join(pieces), rows, flagged, tuple(quarantined))
 
 
-def _apply_file_shard(shard: _ApplyShard) -> TableChunk:
-    """Read, parse, transform, and encode one byte-range shard in a worker."""
+def _apply_file_shard(shard: Shard) -> TableChunk:
+    """Read, parse, transform, and encode one shard in a worker."""
     assert _TABLE_STATE is not None, "worker used before initialization"
     spec, engines, chunk_size = _TABLE_STATE
-    maybe_fire("worker.shard", key=f"{shard.source}:{shard.start}")
+    maybe_fire("worker.shard", key=f"{shard.locator}:{shard.start}")
     return _transform_shard(spec, engines, chunk_size, shard)
 
 
 class ShardedTableExecutor:
-    """One-pass, multi-column table apply over raw CSV lines.
+    """One-pass, multi-column apply over a partitioned dataset.
 
-    The parent feeds **unparsed physical lines**; workers parse their
-    own chunk, run every column's compiled program, and hand back one
-    already-encoded CSV/JSONL text chunk.  Results come back in input
-    order through a bounded in-flight window, so the parent's whole job
-    is splicing strings into the sink — the CSV codec never runs on the
-    parent's hot path.  With ``workers=1`` the same per-chunk pipeline
-    runs inline and no pool is spawned.
+    Workers read their own record-aligned shards, parse them, run every
+    column's compiled program, and hand back one already-encoded text
+    chunk each.  Results come back in input order through a bounded
+    in-flight window, so the parent's whole job is splicing strings
+    into the sink — no codec runs on the parent's hot path.  With
+    ``workers=1`` the same per-shard pipeline runs inline and no pool is
+    spawned.
 
     Args:
         programs: Mapping from input column name to the
             :class:`CompiledProgram` / :class:`TransformEngine` that
             transforms it.
-        header: The input CSV header, in file order.
+        header: The input header, in file order.
         output_columns: Optional mapping from input column to sink
             column; a sink column equal to the input column transforms
             in place, anything else is appended to the header.  Defaults
             to ``<column>_transformed`` for every programmed column.
-        out_format: ``"csv"`` (default) or ``"jsonl"``.
+        out_format: Any sink format the backend registry exposes
+            (``"csv"`` by default).
         delimiter: CSV delimiter for both parse and encode.
         source: Input name used in error messages.
         workers: Worker process count; ``None`` means ``os.cpu_count()``.
-        chunk_size: Physical lines per worker task.
+        chunk_size: Physical lines per transform batch inside a shard.
         on_error: ``"abort"`` (default — first bad record raises) or
             ``"quarantine"`` (bad records divert into each chunk's
             ``quarantined`` tuple; the run continues).
@@ -726,12 +430,6 @@ class ShardedTableExecutor:
             is the historical behaviour.  A policy with retries or a
             timeout forces pool execution even at ``workers=1`` so the
             knobs keep their meaning.
-        adaptive_target_ms: When set, ``chunk_size`` and ``shard_bytes``
-            become starting points instead of fixed sizes: an
-            :class:`AdaptiveChunker` resizes tasks toward this per-task
-            latency target from observed pipeline latencies.  ``None``
-            (default) keeps the static knobs.  Sink bytes are identical
-            either way — sizing only regroups rows into tasks.
     """
 
     def __init__(
@@ -746,7 +444,6 @@ class ShardedTableExecutor:
         chunk_size: int = DEFAULT_TABLE_CHUNK_LINES,
         on_error: str = "abort",
         fault_policy: Optional[FaultPolicy] = None,
-        adaptive_target_ms: Optional[int] = None,
     ) -> None:
         if not programs:
             raise ValidationError("ShardedTableExecutor needs at least one column program")
@@ -765,19 +462,6 @@ class ShardedTableExecutor:
         self._workers = validated_workers(workers)
         self._chunk_size = validated_chunk_size(chunk_size)
         self._fault_policy = fault_policy or FaultPolicy()
-        self._adaptive_target_ms = validated_adaptive_target(
-            adaptive_target_ms, "adaptive_target_ms"
-        )
-        self._line_sizer: Optional[AdaptiveChunker] = None
-        self._shard_sizer: Optional[AdaptiveChunker] = None
-        if self._adaptive_target_ms is not None:
-            self._line_sizer = AdaptiveChunker(
-                initial=self._chunk_size,
-                minimum=max(1, self._chunk_size // 16),
-                maximum=self._chunk_size * 64,
-                target_seconds=self._adaptive_target_ms / 1000.0,
-                name="chunk",
-            )
 
         fieldnames = tuple(header)
         named_outputs = dict(output_columns or {})
@@ -810,7 +494,7 @@ class ShardedTableExecutor:
             on_error=on_error,
         )
         self._programs = compiled_programs
-        self._rpool: Optional[ResilientPool[Any, TableChunk]] = None
+        self._rpool: Optional[ResilientPool[Shard, TableChunk]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -830,20 +514,6 @@ class ShardedTableExecutor:
         """The infrastructure-fault retry/timeout policy."""
         return self._fault_policy
 
-    @property
-    def adaptive_target_ms(self) -> Optional[int]:
-        """The adaptive latency target, or ``None`` for static sizing."""
-        return self._adaptive_target_ms
-
-    def adaptive_stats(self) -> Dict[str, Dict[str, float]]:
-        """Observed latency + current size per adaptive sizer (if any)."""
-        stats: Dict[str, Dict[str, float]] = {}
-        if self._line_sizer is not None:
-            stats["chunk_lines"] = self._line_sizer.stats()
-        if self._shard_sizer is not None:
-            stats["shard_bytes"] = self._shard_sizer.stats()
-        return stats
-
     def _build_pool(self) -> ProcessPoolExecutor:
         wires = tuple(_program_wire(program) for program in self._programs)
         return ProcessPoolExecutor(
@@ -852,7 +522,7 @@ class ShardedTableExecutor:
             initargs=(self._spec, wires, self._chunk_size),
         )
 
-    def _ensure_pool(self) -> ResilientPool[Any, TableChunk]:
+    def _ensure_pool(self) -> ResilientPool[Shard, TableChunk]:
         if self._rpool is None:
             self._rpool = ResilientPool(self._build_pool, self._fault_policy)
         return self._rpool
@@ -892,74 +562,33 @@ class ShardedTableExecutor:
         else:
             self.close()
 
-    # ------------------------------------------------------------------
-    # Poison-work handling (a task that still fails after its retries)
-    # ------------------------------------------------------------------
-    def _fault_reason(self, kind: str, attempts: int) -> str:
-        if kind == "hung":
-            timeout = self._fault_policy.shard_timeout
-            return (
-                f"a worker exceeded the {timeout:g}s shard timeout "
-                f"{attempts} time(s)"
-            )
-        return f"a worker process died running it {attempts} time(s)"
-
-    def _quarantine_whole(
-        self,
-        first_line: int,
-        lines: List[str],
-        label: str,
-        in_format: str,
-        reason: str,
+    def _shard_failure(
+        self, key: Any, shard: Shard, kind: str, attempts: int
     ) -> TableChunk:
-        """Quarantine every record of a poison chunk/shard, parent-side."""
+        """Poison shard (still failing after its retries): abort or quarantine."""
+        reason = self._fault_policy.fault_reason(kind, attempts)
+        if self._spec.on_error != "quarantine":
+            raise shard.poisoned(reason)
+        lines = list(
+            backend_by_name(shard.format).read_shard_lines(
+                shard.locator,
+                shard.start,
+                shard.end,
+                collect_bad=True,
+                first_line=shard.first_line,
+            )
+        )
         error = f"poison work quarantined whole: {reason}"
         records = tuple(
-            QuarantinedRecord(label, number, error, _record_raw(record_lines))
+            QuarantinedRecord(shard.locator, number, error, _record_raw(record_lines))
             for number, record_lines in _iter_records(
                 lines,
-                first_line,
+                shard.first_line,
                 self._spec.delimiter,
-                csv_quoting=backend_by_name(in_format).csv_quoting,
+                csv_quoting=backend_by_name(shard.format).csv_quoting,
             )
         )
         return TableChunk("", 0, 0, records)
-
-    def _chunk_failure(
-        self, key: Any, task: Tuple[int, List[str], Optional[str], str], kind: str, attempts: int
-    ) -> TableChunk:
-        first_line, lines, source, in_format = task
-        label = source or self._spec.source
-        reason = self._fault_reason(kind, attempts)
-        if self._spec.on_error == "quarantine":
-            return self._quarantine_whole(first_line, lines, label, in_format, reason)
-        raise CLXError(
-            f"{label} lines {first_line}..{first_line + len(lines) - 1}: {reason}; "
-            "the chunk looks poisoned and the run was aborted"
-        )
-
-    def _shard_failure(
-        self, key: Any, shard: _ApplyShard, kind: str, attempts: int
-    ) -> TableChunk:
-        reason = self._fault_reason(kind, attempts)
-        if self._spec.on_error == "quarantine":
-            lines = list(
-                backend_by_name(shard.in_format).read_shard_lines(
-                    shard.path,
-                    shard.start,
-                    shard.end,
-                    collect_bad=True,
-                    first_line=shard.first_line,
-                )
-            )
-            return self._quarantine_whole(
-                shard.first_line, lines, shard.source, shard.in_format, reason
-            )
-        raise CLXError(
-            f"{shard.source} bytes [{shard.start}, {shard.end}) "
-            f"(line {shard.first_line} onward): {reason}; "
-            "the shard looks poisoned and the run was aborted"
-        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -970,220 +599,33 @@ class ShardedTableExecutor:
             self._spec.output_fields, self._spec.delimiter
         )
 
-    def run_chunks(
-        self,
-        lines: Iterable[str],
-        first_line: int = 2,
-        source: Optional[str] = None,
-        in_format: str = "csv",
-    ) -> Iterator[TableChunk]:
-        """Stream raw data lines through the pipeline, in input order.
-
-        Args:
-            lines: Physical lines of the *data region* (no CSV header),
-                with or without trailing newlines.
-            first_line: 1-based physical line number of the first data
-                line in the source file, for error messages.
-            source: Input name for error messages, overriding the
-                spec's (used when one executor streams several files).
-            in_format: The input backend that parses the lines —
-                ``"csv"`` (default), ``"jsonl"``, or a rowgroup backend
-                name when the lines are its JSONL wire rendering.
-
-        Yields:
-            One :class:`TableChunk` per chunk (encoded sink text, row
-            and flagged counts, quarantined records if in quarantine
-            mode).
-        """
-        if in_format not in input_format_names():
-            raise ValidationError(
-                f"unsupported input format {in_format!r}; "
-                f"choose from {', '.join(input_format_names())}"
-            )
-        sizer = self._line_sizer
-        tasks = (
-            (start, chunk, source, in_format)
-            for start, chunk in _record_aligned_chunks(
-                lines,
-                sizer if sizer is not None else self._chunk_size,
-                first_line,
-                self._spec.delimiter,
-                csv_quoting=backend_by_name(in_format).csv_quoting,
-            )
-        )
-        if not self._use_pool:
-            engines = self._programs
-            for start, chunk, label, fmt in tasks:
-                began = time.perf_counter()
-                result = _transform_lines(self._spec, engines, start, chunk, label, fmt)
-                if sizer is not None:
-                    sizer.observe(time.perf_counter() - began)
-                yield result
-            return
-        # The key carries the submission stamp parent-side (the wire
-        # format stays untouched); the ordered drain turns it into the
-        # per-task pipeline latency the sizer steers on.
-        keyed = (((task[0], time.perf_counter()), task) for task in tasks)
-        pool = self._ensure_pool()
-        for key, result in pool.map_ordered_keyed(
-            _transform_table_chunk, keyed, self._workers + 2, on_failure=self._chunk_failure
-        ):
-            if sizer is not None:
-                sizer.observe(time.perf_counter() - key[1])
-            yield result
-
-    def _run_file(self, locator: str, in_format: str) -> Iterator[TableChunk]:
-        """Stream one partition file through the pipeline via its backend.
-
-        Line backends read their data region (checking the header, when
-        the format has one, against the spec so two partitions with
-        drifted schemas cannot be spliced into one sink silently);
-        rowgroup backends render every row group as JSONL wire lines.
-        Either way the lines split exactly like the byte-range shard
-        reader's, so ``run_part`` and ``run_dataset`` agree on every
-        file.
-        """
-        backend = backend_by_name(in_format)
-        backend.require()
-        data_start, first_line = 0, 1
-        if backend.line_records:
-            header, data_start, first_line = backend.data_region(
-                locator, self._spec.delimiter
-            )
-            if header is not None:
-                self._check_part_header(locator, header)
-        lines = backend.read_shard_lines(
-            locator,
-            data_start,
-            None,
-            collect_bad=self._spec.on_error == "quarantine",
-            first_line=first_line,
-        )
-        yield from self.run_chunks(
-            lines, first_line=first_line, source=locator, in_format=in_format
-        )
-
-    def run_csv_file(self, path: Union[str, Path]) -> Iterator[TableChunk]:
-        """Stream one CSV file through the pipeline, checking its header.
-
-        The partition-aware entry point: the executor (and its worker
-        pool) is built once and reused across every part of a
-        partitioned dataset.
-
-        Raises:
-            CLXError: If ``path`` has no header row or its header does
-                not match the executor's fieldnames.
-        """
-        yield from self._run_file(str(Path(path)), "csv")
-
-    def run_jsonl_file(self, path: Union[str, Path]) -> Iterator[TableChunk]:
-        """Stream one JSON Lines file through the pipeline.
-
-        JSONL parts carry no header row; instead every record's keys
-        are reconciled against the dataset field order inside the
-        workers (missing key or ``null`` → ``""``, unknown key →
-        :class:`~repro.util.errors.CLXError` naming the file and line).
-        """
-        yield from self._run_file(str(Path(path)), "jsonl")
-
-    def run_part(self, part: "DatasetPart") -> Iterator[TableChunk]:
-        """Stream one resolved dataset partition, dispatching on format."""
-        yield from self._run_file(part.locator, part.format)
-
-    def _check_part_header(
-        self, source: Union[str, Path], header: Sequence[str]
-    ) -> None:
-        if tuple(header) != self._spec.fieldnames:
-            raise CLXError(
-                f"{source} header ({', '.join(header)}) does not match the "
-                f"dataset header ({', '.join(self._spec.fieldnames)}); "
-                "partitions of one dataset must share a header"
-            )
-
-    # ------------------------------------------------------------------
-    # Cross-partition dispatch
-    # ------------------------------------------------------------------
-    def _plan_part_shards(
-        self, part: "DatasetPart", shard_bytes: int
-    ) -> Iterator[_ApplyShard]:
-        """Split one partition into record-aligned shards via its backend.
-
-        Small parts become one whole-part shard — the parent reads
-        nothing but a CSV header, so dispatching many small files
-        overlaps their open/parse latencies.  Line-record parts larger
-        than ``shard_bytes`` are split with one
-        :func:`~repro.util.csvio.iter_record_cut_points` scan, which
-        also yields the exact first line number of every shard, so
-        error messages stay precise however the bytes were divided.
-        Shards are **yielded as cuts are found**: on a huge single
-        file, workers start transforming the head while the parent is
-        still scanning the tail — no cold-start bubble proportional to
-        file size.  Rowgroup parts (parquet/arrow) shard on their own
-        record-aligned cut points instead: row-group index ranges sized
-        so each span covers roughly ``shard_bytes`` of storage.
-        """
-        backend = backend_by_name(part.format)
-        backend.require()
-        locator = part.locator
-
-        def shard(start: int, line: int, end: int) -> _ApplyShard:
-            return _ApplyShard(
-                path=locator,
-                in_format=part.format,
-                start=start,
-                end=end,
-                first_line=line,
-                source=locator,
-            )
-
-        if not backend.line_records:
-            for start, end, first_row in backend.plan_shards(locator, shard_bytes):
-                yield shard(start, first_row, end)
-            return
-
-        size = part.size
-        header, data_start, first_line = backend.data_region(
-            locator, self._spec.delimiter
-        )
-        if header is not None:
-            self._check_part_header(locator, header)
-        if size <= data_start:
-            return
-
-        span = size - data_start
-        pieces = (span + shard_bytes - 1) // shard_bytes
-        previous = (data_start, first_line)
-        if pieces > 1:
-            step = (span + pieces - 1) // pieces
-            targets = list(range(data_start + step, size, step))
-            for cut, line in iter_record_cut_points(
-                locator,
-                data_start,
-                size,
-                targets,
-                delimiter=self._spec.delimiter,
-                first_line=first_line,
-                csv_quoting=backend.csv_quoting,
-                opener=open_locator,
-            ):
-                if previous[0] < cut:
-                    yield shard(previous[0], previous[1], cut)
-                    previous = (cut, line)
-        if previous[0] < size:
-            yield shard(previous[0], previous[1], size)
+    def _plan(
+        self, dataset: Iterable[DatasetPart], shard_bytes: int
+    ) -> Iterator[Tuple[int, Shard]]:
+        # Parts are planned lazily, one part ahead of the in-flight
+        # window; a CSV part whose header drifted from the spec fails
+        # loudly instead of splicing mismatched columns into one sink.
+        for index, part in enumerate(dataset):
+            header, shards = plan_part(part, shard_bytes, self._spec.delimiter)
+            if header is not None and tuple(header) != self._spec.fieldnames:
+                raise CLXError(
+                    f"{part.locator} header ({', '.join(header)}) does not match the "
+                    f"dataset header ({', '.join(self._spec.fieldnames)}); "
+                    "partitions of one dataset must share a header"
+                )
+            for shard in shards:
+                yield index, shard
 
     def run_dataset(
         self,
-        dataset: Iterable["DatasetPart"],
+        dataset: Iterable[DatasetPart],
         shard_bytes: int = DEFAULT_APPLY_SHARD_BYTES,
     ) -> Iterator[Tuple[int, TableChunk]]:
         """Fan a whole partitioned dataset across the worker pool.
 
-        Unlike draining :meth:`run_part` one partition at a time —
-        which barriers the pool at every part boundary — this plans
-        record-aligned shards lazily (one part ahead of the in-flight
-        window) and keeps shards of *different* partitions in flight
-        together.  Workers read their own byte ranges, parse (CSV or
+        Shards of *different* partitions stay in flight together, so
+        small-file latencies overlap and no pool barrier falls at a part
+        boundary.  Workers read their own byte ranges, parse (CSV or
         JSONL per part), transform, and encode — in batches of the
         executor's ``chunk_size`` lines, so both knobs keep their
         meaning (``shard_bytes`` sizes I/O and dispatch, ``chunk_size``
@@ -1197,60 +639,24 @@ class ShardedTableExecutor:
             shard_bytes: Byte-range size above which a part is split.
 
         Yields:
-            ``(part_index, TableChunk)`` per chunk, in deterministic
+            ``(part_index, TableChunk)`` per shard, in deterministic
             order.
         """
         validated_chunk_size(shard_bytes, "shard_bytes")
-        sizer: Optional[AdaptiveChunker] = None
-        if self._adaptive_target_ms is not None:
-            sizer = AdaptiveChunker(
-                initial=shard_bytes,
-                minimum=max(1, shard_bytes // 16),
-                maximum=shard_bytes * 64,
-                target_seconds=self._adaptive_target_ms / 1000.0,
-                name="shard",
-            )
-            self._shard_sizer = sizer
-
-        def plan() -> Iterator[Tuple[int, _ApplyShard]]:
-            for index, part in enumerate(dataset):
-                # Shard geometry is fixed within a part (the cut targets
-                # are planned in one scan), so the sizer steers between
-                # parts; chunk-line adaptation handles intra-part pacing.
-                size = sizer.size if sizer is not None else shard_bytes
-                for shard in self._plan_part_shards(part, size):
-                    yield index, shard
-
+        plan = self._plan(dataset, shard_bytes)
         if not self._use_pool:
-            for index, shard in plan():
-                began = time.perf_counter()
-                chunk = _transform_shard(
-                    self._spec, self._programs, self._chunk_size, shard
-                )
-                if sizer is not None:
-                    sizer.observe(time.perf_counter() - began)
-                yield index, chunk
+            for index, shard in plan:
+                yield index, _transform_shard(self._spec, self._programs, self._chunk_size, shard)
             return
-        pool = self._ensure_pool()
-        if sizer is None:
-            yield from pool.map_ordered_keyed(
-                _apply_file_shard, plan(), self._workers + 2, on_failure=self._shard_failure
-            )
-            return
-        stamped = (
-            ((index, time.perf_counter()), shard) for index, shard in plan()
+        yield from self._ensure_pool().map_ordered_keyed(
+            _apply_file_shard, plan, self._workers + 2, on_failure=self._shard_failure
         )
-        for key, chunk in pool.map_ordered_keyed(
-            _apply_file_shard, stamped, self._workers + 2, on_failure=self._shard_failure
-        ):
-            sizer.observe(time.perf_counter() - key[1])
-            yield key[0], chunk
 
 
 # ----------------------------------------------------------------------
 # Dataset apply orchestration (shared by the CLI and the library APIs)
 # ----------------------------------------------------------------------
-def partition_output_name(part: "DatasetPart", out_format: str) -> str:
+def partition_output_name(part: DatasetPart, out_format: str) -> str:
     """The sink file name for one partition: swap only the final extension.
 
     ``part.2024.csv`` keeps its dotted stem (``part.2024.jsonl`` under a
@@ -1327,7 +733,7 @@ class DatasetApplyResult:
 
 def apply_dataset(
     executor: ShardedTableExecutor,
-    dataset: "Dataset",
+    dataset: Dataset,
     output: Optional[Union[str, Path]] = None,
     output_dir: Optional[Union[str, Path]] = None,
     stream: Optional[IO[str]] = None,
@@ -1400,7 +806,7 @@ def apply_dataset(
     result = DatasetApplyResult(parts=len(parts))
     quarantine = QuarantineWriter(Path(quarantine_dir)) if quarantine_dir is not None else None
 
-    def record_quarantined(part: "DatasetPart", chunk: TableChunk) -> None:
+    def record_quarantined(part: DatasetPart, chunk: TableChunk) -> None:
         if quarantine is not None and chunk.quarantined:
             quarantine.add(part.name, part.locator, chunk.quarantined)
 
@@ -1430,7 +836,7 @@ def apply_dataset(
                     "choose a different directory"
                 )
         manifest = RunManifest(directory, executor.spec.out_format, resume=resume)
-        pending: List["DatasetPart"] = []
+        pending: List[DatasetPart] = []
         for part in parts:
             name = partition_output_name(part, executor.spec.out_format)
             if (
@@ -1565,7 +971,11 @@ def _init_rows_worker(payload: Tuple[Tuple[str, ProgramWire], ...]) -> None:
     _ROWS_STATE = [(column, _program_from_wire(wire)) for column, wire in payload]
 
 
-def _transform_rows_chunk(task: Tuple[int, List[Dict[str, Any]]]) -> List[Dict[str, Any]]:
+#: One mapping-rows task: the chunk's first row index and its rows.
+RowsTask = Tuple[int, List[Mapping[str, Any]]]
+
+
+def _transform_rows_chunk(task: RowsTask) -> List[Dict[str, Any]]:
     assert _ROWS_STATE is not None, "worker used before initialization"
     base_index, rows = task
     return _apply_columns_to_rows(_ROWS_STATE, base_index, rows)
@@ -1601,13 +1011,14 @@ def transform_table_parallel(
     :meth:`TransformEngine.transform_table` when ``workers > 1``.
     """
     payload = tuple((column, _program_wire(compiled)) for column, compiled in programs)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_rows_worker,
-        initargs=(payload,),
-    ) as pool:
-        results = map_ordered(
-            pool, _transform_rows_chunk, indexed_chunks(rows, chunk_size), workers + 2
+
+    def build() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_rows_worker, initargs=(payload,)
         )
-        for chunk in results:
-            yield from chunk
+
+    tasks = ((base, (base, chunk)) for base, chunk in indexed_chunks(rows, chunk_size))
+    pool: ResilientPool[RowsTask, List[Dict[str, Any]]] = ResilientPool(build)
+    with pool:
+        for _, out_rows in pool.map_ordered_keyed(_transform_rows_chunk, tasks, workers + 2):
+            yield from out_rows

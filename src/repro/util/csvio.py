@@ -11,16 +11,17 @@ that kind of messy value is this project's bread and butter.
 :func:`record_open_after` walks a line with the same state machine the
 csv module applies (field-start quoting, ``""`` escapes, delimiter
 resets), carrying the open/closed state across lines of the same
-record.  :func:`record_aligned_offsets` lifts that state machine to
+record.  :func:`iter_record_cut_points` lifts that state machine to
 whole files: one sequential quote-parity scan maps any set of byte
-targets to the nearest *record* boundaries at or past them, which is
-what lets byte-range fan-out shard files whose quoted fields contain
+targets to the nearest *record* boundaries at or past them (with the
+physical line number at each), which is what lets the shard planner
+(:mod:`repro.dataset.shards`) split files whose quoted fields contain
 embedded newlines.
 """
 
 from __future__ import annotations
 
-from typing import IO, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.util.errors import ValidationError
 
@@ -97,70 +98,6 @@ def record_open_after(line: str, delimiter: str, open_before: bool = False) -> b
     return in_quotes
 
 
-def record_aligned_offsets(
-    path: str,
-    start: int,
-    end: int,
-    targets: Sequence[int],
-    delimiter: str = ",",
-    encoding: str = "utf-8",
-    opener: Optional[Callable[[str], IO[bytes]]] = None,
-) -> List[int]:
-    """Map byte ``targets`` to the record boundaries at or past them.
-
-    One sequential pass over ``path``'s byte range ``[start, end)``
-    tracks quote parity with :func:`record_open_after` (``start`` must
-    be a true record boundary, e.g. the first data byte after the
-    header) and returns, for each target offset, the byte offset of the
-    first **record** start at or after it — ``end`` when no further
-    record begins before ``end``.  Splitting a file at the returned
-    offsets therefore never cuts a quoted field, however many embedded
-    newlines its records contain.
-
-    Args:
-        path: File path (opened in binary mode).
-        start: First byte of the scanned region; a record boundary.
-        end: First byte past the scanned region.
-        targets: Byte offsets to align, in ascending order.
-        delimiter: The CSV delimiter.
-        encoding: Text encoding used to decode scanned lines.
-
-    Returns:
-        One aligned offset per target, ascending, each in
-        ``[start, end]``.
-    """
-    return [
-        offset
-        for offset, _ in record_cut_points(
-            path, start, end, targets, delimiter=delimiter, encoding=encoding,
-            opener=opener,
-        )
-    ]
-
-
-def record_cut_points(
-    path: str,
-    start: int,
-    end: int,
-    targets: Sequence[int],
-    delimiter: str = ",",
-    encoding: str = "utf-8",
-    first_line: int = 1,
-    csv_quoting: bool = True,
-    opener: Optional[Callable[[str], IO[bytes]]] = None,
-) -> List[Tuple[int, int]]:
-    """Like :func:`record_aligned_offsets`, also tracking line numbers.
-
-    Materialized form of :func:`iter_record_cut_points`.
-    """
-    return list(
-        iter_record_cut_points(
-            path, start, end, targets, delimiter, encoding, first_line,
-            csv_quoting, opener,
-        )
-    )
-
-
 def iter_record_cut_points(
     path: str,
     start: int,
@@ -174,13 +111,13 @@ def iter_record_cut_points(
 ) -> Iterator[Tuple[int, int]]:
     """Stream record-aligned cuts with their line numbers, one per target.
 
-    The cross-partition apply dispatcher plans byte-range shards but
-    still owes callers exact error locations, so each aligned cut comes
-    out as ``(offset, line_number)`` — the 1-based *physical* line
-    number of the line beginning at ``offset``, counted from
-    ``first_line`` at ``start``.  Cuts are **yielded as the scan finds
-    them**, so a consumer can dispatch work on early cuts while the
-    tail of a huge file is still being scanned.  Targets at or past the
+    The shard planner cuts byte ranges but still owes its workers exact
+    error locations, so each aligned cut comes out as ``(offset,
+    line_number)`` — the 1-based *physical* line number of the line
+    beginning at ``offset``, counted from ``first_line`` at ``start``.
+    Cuts are **yielded as the scan finds them**, so a consumer can
+    dispatch work on early cuts while the tail of a huge file is still
+    being scanned.  Targets at or past the
     last record start map to ``(end, <line scanning stopped at>)``; the
     resulting empty shard is the caller's to drop.
 

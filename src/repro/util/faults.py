@@ -1,7 +1,8 @@
 """Seeded fault-injection seam for the resilience test harness.
 
 Production code calls :func:`maybe_fire` at a handful of named injection
-points (worker chunk transform, worker pool init, parent sink write).
+points (worker shard read in apply and profile alike, worker chunk
+transform, worker pool init, parent sink write).
 With no configuration the call is one module-global check — effectively
 free.  The test harness arms faults through two environment variables,
 which cross the process boundary into pool workers for free (fork

@@ -1,12 +1,15 @@
-"""Shared process-pool plumbing for the parallel profile and apply paths.
+"""The one process pool behind every parallel profile and apply path.
 
-Both fan-out layers (:mod:`repro.clustering.parallel` and
-:mod:`repro.engine.parallel`) follow the same discipline: submit tasks
-through a **bounded in-flight window** so a generator over a huge file
-is pulled at the pace results drain, yield results **strictly in input
-order**, and surface a dead worker as a :class:`~repro.util.errors.CLXError`
-instead of hanging the parent.  This module is that discipline in one
-place.
+Every fan-out in the package — table and dataset apply
+(:mod:`repro.engine.parallel`), profiling of files, datasets and
+iterables (:mod:`repro.clustering.parallel`), and
+``TransformEngine.transform_table(workers=N)`` — drains through
+:meth:`ResilientPool.map_ordered_keyed`: tasks are submitted through a
+**bounded in-flight window** so a generator over a huge file is pulled
+at the pace results drain, results come back **strictly in input
+order**, and a dead or hung worker is retried, isolated, and finally
+reported as a :class:`~repro.util.errors.CLXError` instead of hanging
+the parent.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import islice
+from types import TracebackType
 from typing import (
     Any,
     Callable,
@@ -29,6 +33,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Type,
     TypeVar,
 )
 
@@ -58,73 +63,6 @@ def indexed_chunks(
     for chunk in chunked(items, chunk_size):
         yield base, chunk
         base += len(chunk)
-
-
-_BROKEN_POOL_MESSAGE = (
-    "a worker process died before returning its result; "
-    "the pool is broken and the run was aborted"
-)
-
-
-def checked_result(future: "Future[Result]") -> Result:
-    """``future.result()`` with worker death translated into a CLXError.
-
-    ``concurrent.futures`` reports a worker process that died without
-    returning (killed, segfaulted, OOM'd) as ``BrokenProcessPool``;
-    exceptions *raised* inside a worker propagate with their own type.
-    """
-    try:
-        return future.result()
-    except BrokenProcessPool as error:
-        raise CLXError(_BROKEN_POOL_MESSAGE) from error
-
-
-def map_ordered(
-    pool: Executor,
-    fn: Callable[[Task], Result],
-    tasks: Iterable[Task],
-    window: int,
-) -> Iterator[Result]:
-    """Map ``fn`` over ``tasks`` through ``pool``, yielding results in order.
-
-    At most ``window`` tasks are in flight at a time, so ``tasks`` is
-    consumed lazily and memory stays proportional to the window size
-    regardless of input length.  Results are yielded in submission
-    order; a failed task raises (via :func:`checked_result`) at its
-    position in the output.
-    """
-    keyed = ((None, task) for task in tasks)
-    return (result for _, result in map_ordered_keyed(pool, fn, keyed, window))
-
-
-def map_ordered_keyed(
-    pool: Executor,
-    fn: Callable[[Task], Result],
-    keyed_tasks: Iterable[Tuple[Key, Task]],
-    window: int,
-) -> Iterator[Tuple[Key, Result]]:
-    """:func:`map_ordered` over ``(key, task)`` pairs, yielding ``(key, result)``.
-
-    Keys never cross the process boundary: the parent pairs each
-    submitted future with its key and re-attaches it when the result
-    drains, so tags like a partition index ride along for free.  Same
-    bounded window, same strict submission order, same dead-worker
-    translation as :func:`map_ordered`.
-    """
-    pending: "Deque[Tuple[Key, Future]]" = deque()
-    for key, task in keyed_tasks:
-        # submit() itself raises BrokenProcessPool once a worker has
-        # died mid-stream, so it needs the same translation as results.
-        try:
-            pending.append((key, pool.submit(fn, task)))
-        except BrokenProcessPool as error:
-            raise CLXError(_BROKEN_POOL_MESSAGE) from error
-        if len(pending) >= window:
-            ready, future = pending.popleft()
-            yield ready, checked_result(future)
-    while pending:
-        ready, future = pending.popleft()
-        yield ready, checked_result(future)
 
 
 @dataclass(frozen=True)
@@ -166,6 +104,15 @@ class FaultPolicy:
             return 0.0
         ceiling = min(self.backoff_cap, self.backoff_base * (2 ** (attempts - 1)))
         return ceiling * (0.5 + rng.random() / 2)
+
+    def fault_reason(self, kind: str, attempts: int) -> str:
+        """Why a task was given up on: ``kind`` is ``"died"`` or ``"hung"``."""
+        if kind == "hung":
+            return (
+                f"a worker exceeded the {self.shard_timeout:g}s shard timeout "
+                f"{attempts} time(s)"
+            )
+        return f"a worker process died running it {attempts} time(s)"
 
 
 class PoolTaskFailure(CLXError):
@@ -220,16 +167,19 @@ class ResilientPool(Generic[Task, Result]):
 
     Wraps a pool *factory* rather than a pool, because recovering from a
     dead or hung worker requires killing the broken
-    ``ProcessPoolExecutor`` outright and building a fresh one.  The
-    mapping discipline matches :func:`map_ordered_keyed` — bounded
-    window, strict submission-order yield — with one addition: after any
-    infrastructure fault the backlog of in-flight tasks is replayed **in
-    serial isolation** (one task in flight at a time).  Isolation makes
-    failure attribution exact: when only the head task was running, a
-    dead pool names its culprit, so retry budgets are only ever charged
-    to the task that actually failed and a poison task is detected
-    deterministically instead of taking innocent neighbours down with
-    it.
+    ``ProcessPoolExecutor`` outright and building a fresh one.  Tasks
+    run through a bounded window and yield in strict submission order;
+    after any infrastructure fault the backlog of in-flight tasks is
+    replayed **in serial isolation** (one task in flight at a time).
+    Isolation makes failure attribution exact: when only the head task
+    was running, a dead pool names its culprit, so retry budgets are
+    only ever charged to the task that actually failed and a poison
+    task is detected deterministically instead of taking innocent
+    neighbours down with it.
+
+    As a context manager the pool closes gracefully on a normal or
+    ``Exception`` exit and is hard-killed on ``KeyboardInterrupt`` /
+    ``SystemExit``, so an interrupted run never orphans workers.
     """
 
     def __init__(
@@ -262,6 +212,22 @@ class ResilientPool(Generic[Task, Result]):
         if self._pool is not None:
             kill_pool(self._pool)
             self._pool = None
+
+    def __enter__(self) -> "ResilientPool[Task, Result]":
+        return self
+
+    def __exit__(
+        self,
+        exc_type: Optional[Type[BaseException]],
+        exc: Optional[BaseException],
+        tb: Optional[TracebackType],
+    ) -> None:
+        # A graceful shutdown would wait on (possibly hung) running
+        # tasks; on Ctrl-C or exit tear down hard instead.
+        if exc_type is not None and not issubclass(exc_type, Exception):
+            self.kill()
+        else:
+            self.close()
 
     def map_ordered_keyed(
         self,
@@ -361,14 +327,9 @@ class ResilientPool(Generic[Task, Result]):
             if isolated:
                 isolated -= 1
             if on_failure is None:
-                verb = (
-                    "a worker process died running"
-                    if kind == "died"
-                    else f"a worker exceeded the {policy.shard_timeout:g}s shard timeout on"
-                )
                 raise PoolTaskFailure(
-                    f"{verb} task {head.key!r}; "
-                    f"{head.attempts} attempt(s) exhausted and the run was aborted",
+                    f"task {head.key!r}: {policy.fault_reason(kind, head.attempts)}; "
+                    "the run was aborted",
                     key=head.key,
                     kind=kind,
                     attempts=head.attempts,

@@ -1,16 +1,15 @@
 """Shared validation of the knobs every scale path exposes.
 
 ``workers`` and ``chunk_size`` appear on :meth:`TransformEngine.run_iter`,
-:meth:`TransformEngine.run_parallel`, :class:`ShardedExecutor`, the
-parallel profiler, and three CLI subcommands.  Before this module each
-layer checked them differently (or not at all); these helpers give one
-message shape, so a bad value fails the same way no matter which door
-it came in through.
+:class:`ShardedTableExecutor`, the parallel profiler, and three CLI
+subcommands.  Before this module each layer checked them differently
+(or not at all); these helpers give one message shape, so a bad value
+fails the same way no matter which door it came in through.
 
 :func:`validated_workers` resolves ``None`` to ``os.cpu_count()`` for
 the entry points whose contract is "default to all cores"
-(``run_parallel``, the executors, ``ParallelProfiler``).  One
-deliberate exception: the table APIs (``transform_table`` /
+(``ShardedTableExecutor``, ``ParallelProfiler``).  One deliberate
+exception: the table APIs (``transform_table`` /
 ``apply_table``) treat ``workers=None`` as the in-process single pass
 for backward compatibility, and only route explicit values through
 this check.
@@ -66,23 +65,3 @@ def validated_memo_size(memo_size: int, name: str = "memo_size") -> int:
     if memo_size < 0:
         raise ValidationError(f"{name} must be >= 0, got {memo_size}")
     return memo_size
-
-
-def validated_adaptive_target(
-    target_ms: Optional[int], name: str = "adaptive_target_ms"
-) -> Optional[int]:
-    """Validate an adaptive-chunking latency target in milliseconds.
-
-    ``None`` means adaptive sizing is off (the static ``chunk_size`` /
-    ``shard_bytes`` knobs apply); an explicit target must be a positive
-    integer — a zero or negative latency band is meaningless.
-    """
-    if target_ms is None:
-        return None
-    if isinstance(target_ms, bool) or not isinstance(target_ms, int):
-        raise ValidationError(
-            f"{name} must be a positive integer, got {type(target_ms).__name__}"
-        )
-    if target_ms < 1:
-        raise ValidationError(f"{name} must be >= 1, got {target_ms}")
-    return target_ms

@@ -4,14 +4,19 @@ The contract under test: :class:`ParallelProfiler` is an execution
 detail, never a semantics change — the hierarchy it produces has the
 same leaf patterns and counts as the serial
 :class:`IncrementalProfiler` pass over the same data, for both shard
-sources (iterable chunk fan-out and byte-range file splitting), at any
-worker count, across the bench generators.
+sources (iterable chunk fan-out and record-aligned file shards), at any
+worker count, across the bench generators.  Shard failures carry the
+apply path's diagnostics: exact file/line/byte for a non-UTF-8 byte, and
+a clean :class:`CLXError` with no live worker left for a dead worker.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -24,6 +29,9 @@ from repro.bench.generators import (
 )
 from repro.clustering.incremental import IncrementalProfiler
 from repro.clustering.parallel import ParallelProfiler
+from repro.dataset import Dataset
+from repro.dataset.shards import plan_part
+from repro.util import faults
 from repro.util.errors import CLXError, ValidationError
 
 
@@ -147,10 +155,9 @@ class TestFileEquivalence:
         assert _leaf_signature(parallel) == _leaf_signature(serial)
 
     def test_quoted_embedded_newlines_profile_correctly(self, tmp_path):
-        # Byte-range shards align on physical lines; when a worker meets
-        # a quoted field spanning lines, the parent re-splits the file
-        # on record boundaries (one quote-parity scan) and retries, so
-        # fan-out matches the serial pass instead of miscounting.
+        # Shards are cut on record boundaries (one quote-parity scan),
+        # never inside a quoted field spanning lines, so fan-out matches
+        # the serial pass instead of miscounting.
         path = tmp_path / "noted.csv"
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -166,7 +173,7 @@ class TestFileEquivalence:
 
     def test_multiline_records_in_the_profiled_column_itself(self, tmp_path):
         # The embedded newline can live in the very column being
-        # profiled — the record-aligned retry must keep the value whole.
+        # profiled — the record-aligned shards must keep the value whole.
         path = tmp_path / "addresses.csv"
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -226,3 +233,74 @@ class TestValidationAndCrash:
         profiler = ParallelProfiler(workers=2, chunk_size=8)
         with pytest.raises(CLXError, match="worker process died"):
             profiler.profile(iter(column))
+
+
+def _write_mixed_parts(directory, count=200):
+    """A CSV part and a JSONL part over (id, phone), 2 workers' worth each."""
+    column, _ = phone_numbers(2 * count, ["paren_space", "dashes", "dots"], seed=51)
+    with (directory / "part-0.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["id", "phone"])
+        for index, value in enumerate(column[:count]):
+            writer.writerow([index, value])
+    with (directory / "part-1.jsonl").open("w", encoding="utf-8") as handle:
+        for index, value in enumerate(column[count:]):
+            handle.write(json.dumps({"id": index + count, "phone": value}) + "\n")
+    return column
+
+
+def _poison_line(path, line_number):
+    """Corrupt one physical line with a non-UTF-8 byte; returns its offset."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_number - 1] = lines[line_number - 1].replace(b"-", b"\xff", 1)
+    path.write_bytes(b"".join(lines))
+    return path.read_bytes().index(b"\xff")
+
+
+class TestShardDiagnostics:
+    @pytest.mark.parametrize("name", ["part-0.csv", "part-1.jsonl"])
+    def test_invalid_utf8_mid_shard_names_file_line_and_offset(self, tmp_path, name):
+        _write_mixed_parts(tmp_path)
+        path = tmp_path / name
+        # Line 150 is not the first line of any shard the profiler plans.
+        offset = _poison_line(path, 150)
+        dataset = Dataset.resolve(str(tmp_path / "part-*"))
+        part = next(part for part in dataset if part.name == name)
+        line_start = path.read_bytes().rindex(b"\n", 0, offset) + 1
+        shards = plan_part(part, -(-dataset.total_size // 2)).shards
+        assert any(shard.start < line_start < shard.end for shard in shards)
+        with pytest.raises(CLXError) as info:
+            ParallelProfiler(workers=2).profile_dataset(dataset, "phone")
+        message = str(info.value)
+        assert f"{path} line 150:" in message
+        assert f"at byte offset {offset};" in message
+
+    def test_every_worker_count_profiles_the_mixed_parts_like_serial(self, tmp_path):
+        column = _write_mixed_parts(tmp_path)
+        expected = _leaf_signature(IncrementalProfiler().profile(iter(column)))
+        dataset = Dataset.resolve(str(tmp_path / "part-*"))
+        for workers in (1, 2, 3):
+            profile = ParallelProfiler(workers=workers).profile_dataset(dataset, "phone")
+            assert profile.row_count == len(column), workers
+            assert _leaf_signature(profile) == expected, workers
+
+
+class TestShardFaults:
+    @pytest.fixture
+    def crash_part_one(self, monkeypatch, tmp_path_factory):
+        monkeypatch.setenv(faults.FAULTS_ENV, "worker.shard:crash:k=part-1")
+        monkeypatch.setenv(faults.FAULTS_DIR_ENV, str(tmp_path_factory.mktemp("markers")))
+        faults.reset()
+        yield
+        monkeypatch.delenv(faults.FAULTS_ENV)
+        faults.reset()
+
+    def test_crashing_shard_raises_and_leaves_no_live_worker(self, tmp_path, crash_part_one):
+        _write_mixed_parts(tmp_path)
+        dataset = Dataset.resolve(str(tmp_path / "part-*"))
+        with pytest.raises(CLXError, match=r"part-1\.jsonl bytes \[\d+, \d+\).*worker process died"):
+            ParallelProfiler(workers=2).profile_dataset(dataset, "phone")
+        deadline = time.monotonic() + 10.0
+        for child in multiprocessing.active_children():
+            child.join(max(0.0, deadline - time.monotonic()))
+        assert [child for child in multiprocessing.active_children() if child.is_alive()] == []

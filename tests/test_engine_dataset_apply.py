@@ -19,7 +19,7 @@ import pytest
 
 from repro.bench.phone import phone_dataset
 from repro.core.session import CLXSession
-from repro.dataset import Dataset
+from repro.dataset import Dataset, DatasetPart
 from repro.engine.parallel import (
     DEFAULT_APPLY_SHARD_BYTES,
     ShardedTableExecutor,
@@ -84,6 +84,8 @@ def _reference_csv(engine, values):
 
 
 class TestRunPart:
+    """One partition at a time through :meth:`ShardedTableExecutor.run_dataset`."""
+
     def test_jsonl_part_parses_and_encodes_csv(self, phone_engine, tmp_path):
         path = _write_jsonl(
             tmp_path / "rows.jsonl",
@@ -93,9 +95,7 @@ class TestRunPart:
         with ShardedTableExecutor(
             {"phone": phone_engine}, ["id", "phone"], workers=1
         ) as executor:
-            encoded = "".join(
-                chunk for chunk, _, _, _ in executor.run_part(dataset.parts[0])
-            )
+            encoded = "".join(chunk.text for _, chunk in executor.run_dataset(dataset))
         rows = list(csv.DictReader(io.StringIO(executor.header_text() + encoded)))
         assert [row["phone_transformed"] for row in rows] == [
             "906-555-1234",
@@ -109,9 +109,7 @@ class TestRunPart:
         with ShardedTableExecutor(
             {"phone": phone_engine}, ["id", "phone"], workers=1
         ) as executor:
-            encoded = "".join(
-                chunk for chunk, _, _, _ in executor.run_part(dataset.parts[0])
-            )
+            encoded = "".join(chunk.text for _, chunk in executor.run_dataset(dataset))
         rows = list(csv.DictReader(io.StringIO(executor.header_text() + encoded)))
         assert [row["phone"] for row in rows] == ["", ""]
 
@@ -130,9 +128,7 @@ class TestRunPart:
         with ShardedTableExecutor(
             {"phone": phone_engine}, ["id", "phone"], out_format="jsonl", workers=1
         ) as executor:
-            encoded = "".join(
-                chunk for chunk, _, _, _ in executor.run_part(dataset.parts[0])
-            )
+            encoded = "".join(chunk.text for _, chunk in executor.run_dataset(dataset))
         rows = [json.loads(line) for line in encoded.splitlines()]
         assert [row["id"] for row in rows] == ["true", '{"a": 1}']
         assert [row["phone_transformed"] for row in rows] == [
@@ -151,7 +147,7 @@ class TestRunPart:
             {"phone": phone_engine}, ["id", "phone"], workers=1
         ) as executor:
             with pytest.raises(CLXError, match=r"rows\.jsonl line 2.*'fax'"):
-                list(executor.run_part(dataset.parts[0]))
+                list(executor.run_dataset(dataset))
 
     def test_jsonl_blank_lines_are_skipped_but_counted(self, phone_engine, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -163,27 +159,24 @@ class TestRunPart:
             {"phone": phone_engine}, ["id", "phone"], workers=1
         ) as executor:
             with pytest.raises(CLXError, match=r"rows\.jsonl line 3"):
-                list(executor.run_part(dataset.parts[0]))
+                list(executor.run_dataset(dataset))
 
     def test_bare_cr_cell_raises_clx_error_on_both_dispatch_paths(
         self, phone_engine, tmp_path
     ):
         # A bare "\r" in an unquoted cell is the csv module's error to
         # raise — but it must surface as a CLXError naming file and
-        # line, identically through run_part and run_dataset (both
+        # line, identically inline and through the worker pool (both
         # split physical lines on "\n" only).
         path = tmp_path / "bad.csv"
         path.write_bytes(b"id,phone\n1,906-555-0000\n2,41\r5.555.9999\n")
         dataset = Dataset.resolve(str(path))
-        for run in (
-            lambda ex: list(ex.run_part(dataset.parts[0])),
-            lambda ex: list(ex.run_dataset(dataset)),
-        ):
+        for workers in (1, 2):
             with ShardedTableExecutor(
-                {"phone": phone_engine}, ["id", "phone"], workers=1
+                {"phone": phone_engine}, ["id", "phone"], workers=workers
             ) as executor:
                 with pytest.raises(CLXError, match=r"bad\.csv line 3: invalid CSV"):
-                    run(executor)
+                    list(executor.run_dataset(dataset))
 
     def test_lone_cr_separators_fail_identically_on_profile_and_apply(
         self, phone_engine, tmp_path
@@ -204,10 +197,13 @@ class TestRunPart:
             with pytest.raises(ValidationError, match=r"cr\.jsonl line 1"):
                 list(executor.run_dataset(dataset))
 
-    def test_rejects_unknown_input_format(self, phone_engine):
+    def test_rejects_unknown_input_format(self, phone_engine, tmp_path):
+        path = tmp_path / "rows.xml"
+        path.write_text("<rows/>\n", encoding="utf-8")
+        part = DatasetPart(path=path, format="xml", size=path.stat().st_size)
         with ShardedTableExecutor({"phone": phone_engine}, ["id", "phone"]) as executor:
-            with pytest.raises(ValidationError, match="input format"):
-                list(executor.run_chunks([], in_format="xml"))
+            with pytest.raises(CLXError, match="unsupported partition format 'xml'"):
+                list(executor.run_dataset([part]))
 
 
 class TestRunDataset:

@@ -1,25 +1,18 @@
-"""Tests for the sharded multi-process executor.
+"""Equivalence of the engine's value-level apply shapes.
 
-The centerpiece is the equivalence suite: across every program the
-synthesizer produces for the 47-task benchmark suite, ``run``,
-``run_iter`` and ``run_parallel`` must yield identical
-:class:`TransformOutcome` sequences — sharding is an execution detail,
-never a semantics change.
+Across every program the synthesizer produces for the 47-task benchmark
+suite, batch ``run`` and streaming ``run_iter`` must yield identical
+:class:`TransformOutcome` sequences — chunking is an execution detail,
+never a semantics change.  The multi-process paths are covered by the
+table and dataset suites (``test_engine_table.py``,
+``test_engine_dataset_apply.py``).
 """
 
 from __future__ import annotations
 
-import csv
-import os
-
-import pytest
-
-from repro.bench.phone import phone_dataset
 from repro.bench.suite import benchmark_suite
 from repro.core.session import CLXSession
-from repro.dataset import Dataset
-from repro.engine.parallel import AdaptiveChunker, ShardedExecutor, ShardedTableExecutor
-from repro.util.errors import CLXError, SynthesisError, ValidationError
+from repro.util.errors import SynthesisError
 
 
 def _engines_for_suite():
@@ -41,7 +34,7 @@ def _signature(outcomes):
 
 
 class TestSuiteEquivalence:
-    def test_run_run_iter_and_run_parallel_agree_across_the_suite(self):
+    def test_run_and_run_iter_agree_across_the_suite(self):
         pairs = _engines_for_suite()
         assert len(pairs) >= 40  # almost all of the 47 tasks synthesize
         for task, engine in pairs:
@@ -55,235 +48,3 @@ class TestSuiteEquivalence:
             )
             streamed = _signature(engine.run_iter(iter(task.inputs), chunk_size=7))
             assert streamed == batch, task.task_id
-            with ShardedExecutor(engine, workers=2, chunk_size=5) as executor:
-                sharded = _signature(executor.run_iter(iter(task.inputs)))
-            assert sharded == batch, task.task_id
-
-    def test_run_parallel_report_equals_run_report(self):
-        values, _ = phone_dataset(count=2000, format_count=6, seed=41)
-        raw, _ = phone_dataset(count=300, format_count=6, seed=331)
-        session = CLXSession(raw)
-        session.label_target_from_notation("<D>3'-'<D>3'-'<D>4")
-        engine = session.engine()
-        single = engine.run(values)
-        parallel = engine.run_parallel(values, workers=2, chunk_size=256)
-        assert parallel.inputs == single.inputs
-        assert parallel.outputs == single.outputs
-        assert parallel.matched_pattern == single.matched_pattern
-        assert parallel.target == single.target
-        assert parallel.flagged_count == single.flagged_count
-
-
-@pytest.fixture
-def phone_engine():
-    raw, _ = phone_dataset(count=100, format_count=4, seed=13)
-    session = CLXSession(raw)
-    session.label_target_from_notation("<D>3'-'<D>3'-'<D>4")
-    return session.engine()
-
-
-class TestShardedExecutor:
-    def test_results_preserve_input_order(self, phone_engine):
-        values, _ = phone_dataset(count=997, format_count=4, seed=23)
-        expected = [phone_engine.run_one(value).output for value in values]
-        with ShardedExecutor(phone_engine, workers=2, chunk_size=64) as executor:
-            assert [o.output for o in executor.run_iter(iter(values))] == expected
-
-    def test_executor_is_reusable_across_runs(self, phone_engine):
-        values, _ = phone_dataset(count=60, format_count=4, seed=29)
-        with ShardedExecutor(phone_engine, workers=2, chunk_size=16) as executor:
-            first = executor.run(values)
-            second = executor.run(values)
-        assert first.outputs == second.outputs
-
-    def test_consumes_a_generator_lazily(self, phone_engine):
-        pulled = []
-
-        def source():
-            values, _ = phone_dataset(count=500, format_count=4, seed=31)
-            for value in values:
-                pulled.append(value)
-                yield value
-
-        with ShardedExecutor(phone_engine, workers=2, chunk_size=10) as executor:
-            iterator = executor.run_iter(source())
-            next(iterator)
-            # A bounded window of chunks may be in flight, but the whole
-            # 500-value generator must not have been drained eagerly.
-            assert len(pulled) <= 10 * (executor.workers + 3)
-
-    def test_accepts_engine_or_compiled(self, phone_engine):
-        ShardedExecutor(phone_engine, workers=1).close()
-        ShardedExecutor(phone_engine.compiled, workers=1).close()
-
-    def test_rejects_bad_arguments(self, phone_engine):
-        with pytest.raises(ValidationError):
-            ShardedExecutor(phone_engine, workers=0)
-        with pytest.raises(ValidationError):
-            ShardedExecutor(phone_engine, chunk_size=0)
-        with pytest.raises(ValidationError):
-            ShardedExecutor("not a program")
-
-    def test_close_is_idempotent(self, phone_engine):
-        executor = ShardedExecutor(phone_engine, workers=1)
-        executor.close()
-        executor.close()
-
-    def test_dead_worker_raises_clx_error_instead_of_hanging(self, phone_engine):
-        class Kamikaze(str):
-            """Unpickling this value kills the worker that receives it."""
-
-            def __reduce__(self):
-                return (os._exit, (13,))
-
-        values = ["734-422-8073"] * 30 + [Kamikaze("906-555-1234")]
-        with ShardedExecutor(phone_engine, workers=2, chunk_size=8) as executor:
-            with pytest.raises(CLXError, match="worker process died"):
-                list(executor.run_iter(iter(values)))
-
-    def test_worker_death_mid_stream_raises_clx_error(self, phone_engine):
-        # The poison chunk sits near the front of a long stream, so the
-        # pool breaks while later chunks are still being *submitted* —
-        # submit-side BrokenProcessPool must be translated too.
-        class Kamikaze(str):
-            def __reduce__(self):
-                return (os._exit, (13,))
-
-        values = (
-            ["734-422-8073"] * 3
-            + [Kamikaze("906-555-1234")]
-            + ["734-422-8073"] * 5000
-        )
-        with ShardedExecutor(phone_engine, workers=2, chunk_size=2) as executor:
-            with pytest.raises(CLXError, match="worker process died"):
-                list(executor.run_iter(iter(values)))
-
-
-class TestRunParallelFallback:
-    def test_single_worker_falls_back_to_in_process_run(self, phone_engine, monkeypatch):
-        import repro.engine.parallel as parallel_module
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not be hit
-            raise AssertionError("no pool should be spawned for workers=1")
-
-        monkeypatch.setattr(parallel_module.ShardedExecutor, "_ensure_pool", boom)
-        values, _ = phone_dataset(count=40, format_count=4, seed=37)
-        report = phone_engine.run_parallel(values, workers=1)
-        assert report.outputs == phone_engine.run(values).outputs
-
-    def test_accepts_an_iterator_when_falling_back(self, phone_engine):
-        values, _ = phone_dataset(count=20, format_count=4, seed=43)
-        report = phone_engine.run_parallel(iter(values), workers=1)
-        assert report.row_count == 20
-
-
-class TestAdaptiveChunker:
-    def _chunker(self, **overrides):
-        kwargs = dict(initial=64, minimum=4, maximum=1024, target_seconds=0.05)
-        kwargs.update(overrides)
-        return AdaptiveChunker(**kwargs)
-
-    def test_slow_tasks_halve_the_size(self):
-        sizer = self._chunker()
-        sizer.observe(0.2)  # > 2x the 50ms target
-        assert sizer.size == 32
-        sizer.observe(0.2)
-        assert sizer.size == 16
-
-    def test_fast_tasks_double_the_size(self):
-        sizer = self._chunker()
-        sizer.observe(0.01)  # < half the 50ms target
-        assert sizer.size == 128
-
-    def test_in_band_latency_keeps_the_size(self):
-        sizer = self._chunker()
-        for seconds in (0.03, 0.05, 0.09):  # within [target/2, 2*target]
-            sizer.observe(seconds)
-        assert sizer.size == 64
-
-    def test_size_clamps_at_the_bounds(self):
-        sizer = self._chunker(initial=8, minimum=4, maximum=16)
-        for _ in range(5):
-            sizer.observe(1.0)
-        assert sizer.size == 4
-        for _ in range(10):
-            sizer.observe(0.0001)
-        assert sizer.size == 16
-
-    def test_initial_size_is_clamped_into_bounds(self):
-        assert self._chunker(initial=1, minimum=4, maximum=16).size == 4
-        assert self._chunker(initial=9999, minimum=4, maximum=16).size == 16
-
-    @pytest.mark.parametrize("minimum,maximum", [(0, 10), (-1, 10), (8, 4)])
-    def test_invalid_bounds_are_rejected(self, minimum, maximum):
-        with pytest.raises(ValidationError, match="adaptive bounds"):
-            self._chunker(minimum=minimum, maximum=maximum)
-
-    @pytest.mark.parametrize("target", [0, -0.5])
-    def test_non_positive_target_is_rejected(self, target):
-        with pytest.raises(ValidationError, match="adaptive target"):
-            self._chunker(target_seconds=target)
-
-    def test_stats_report_samples_mean_and_size(self):
-        sizer = self._chunker()
-        assert sizer.stats() == {"samples": 0.0, "mean_seconds": 0.0, "size": 64.0}
-        sizer.observe(0.04)
-        sizer.observe(0.06)
-        stats = sizer.stats()
-        assert stats["samples"] == 2.0
-        assert stats["mean_seconds"] == pytest.approx(0.05)
-        assert stats["size"] == 64.0
-
-
-class TestAdaptiveExecutor:
-    @pytest.fixture
-    def phone_csv(self, tmp_path):
-        values, _ = phone_dataset(count=60, format_count=4, seed=29)
-        path = tmp_path / "phones.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["phone"])
-            writer.writerows([value] for value in values)
-        return path, values
-
-    def test_static_executor_reports_no_sizers(self, phone_engine):
-        with ShardedTableExecutor({"phone": phone_engine}, ["phone"], workers=1) as executor:
-            assert executor.adaptive_target_ms is None
-            assert executor.adaptive_stats() == {}
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
-    def test_invalid_adaptive_target_is_rejected(self, phone_engine, bad):
-        with pytest.raises(ValidationError, match="adaptive_target_ms"):
-            ShardedTableExecutor(
-                {"phone": phone_engine}, ["phone"], workers=1, adaptive_target_ms=bad
-            )
-
-    def test_adaptive_run_records_samples_and_keeps_bytes(self, phone_engine, phone_csv):
-        path, values = phone_csv
-        dataset = Dataset.resolve(str(path))
-
-        def run(target_ms):
-            with ShardedTableExecutor(
-                {"phone": phone_engine},
-                ["phone"],
-                workers=1,
-                chunk_size=8,
-                adaptive_target_ms=target_ms,
-            ) as executor:
-                chunks = list(executor.run_dataset(dataset.parts, shard_bytes=256))
-                # The shard sizer paces run_dataset; the line sizer paces
-                # the run_chunks path — drive both before reading stats.
-                list(executor.run_csv_file(path))
-                return (
-                    "".join(chunk.text for _, chunk in chunks),
-                    executor.adaptive_stats(),
-                )
-
-        static_text, static_stats = run(None)
-        adaptive_text, stats = run(1)  # 1ms target: resizes aggressively
-        assert adaptive_text == static_text  # sizing never changes sink bytes
-        assert static_stats == {}
-        assert set(stats) == {"chunk_lines", "shard_bytes"}
-        assert stats["chunk_lines"]["samples"] > 0
-        assert stats["shard_bytes"]["samples"] > 0
-        assert stats["chunk_lines"]["size"] >= 1.0

@@ -14,23 +14,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 
 import pytest
 
 from repro.bench.phone import phone_dataset
 from repro.bench.suite import benchmark_suite
 from repro.core.session import CLXSession
+from repro.dataset import Dataset
 from repro.engine.executor import TransformEngine
 from repro.engine.parallel import ShardedTableExecutor
+from repro.util import faults
 from repro.util.errors import CLXError, SynthesisError, ValidationError
-
-
-class _Kamikaze(str):
-    """A line whose unpickling kills the worker process receiving it."""
-
-    def __reduce__(self):
-        return (os._exit, (13,))
 
 
 def _engines_for_suite(limit=None):
@@ -56,11 +50,26 @@ def phone_engine():
     return session.engine()
 
 
-def _csv_lines(header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerows(rows)
-    return buffer.getvalue().splitlines(keepends=True)
+def _write_csv(path, header, rows):
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return Dataset.resolve(str(path))
+
+
+def _write_lines(path, header, lines):
+    """A CSV file from a header row plus raw data lines, verbatim."""
+    path.write_text(",".join(header) + "\n" + "".join(lines), encoding="utf-8")
+    return Dataset.resolve(str(path))
+
+
+def _chunks(executor, dataset, shard_bytes=1 << 20):
+    return [chunk for _, chunk in executor.run_dataset(dataset, shard_bytes=shard_bytes)]
+
+
+def _encoded(chunks):
+    return "".join(chunk.text for chunk in chunks)
 
 
 class TestSuiteEquivalence:
@@ -75,14 +84,18 @@ class TestSuiteEquivalence:
             )
             assert streamed == batch, task.task_id
 
-    def test_sharded_chunks_decode_to_batch_output_across_the_suite(self):
-        # workers=1 runs the identical per-chunk pipeline inline (no
+    def test_sharded_chunks_decode_to_batch_output_across_the_suite(self, tmp_path):
+        # workers=1 runs the identical per-shard pipeline inline (no
         # pool), so the whole suite is cheap; the parallel run below
         # covers pool fan-out semantics at scale.
         for task, engine in _engines_for_suite():
             rows = [{"id": str(index), "value": value} for index, value in enumerate(task.inputs)]
             batch = TransformEngine.transform_table(rows, {"value": engine})
-            lines = _csv_lines(["id", "value"], [[row["id"], row["value"]] for row in rows])
+            dataset = _write_csv(
+                tmp_path / f"{task.task_id}.csv",
+                ["id", "value"],
+                [[row["id"], row["value"]] for row in rows],
+            )
             with ShardedTableExecutor(
                 {"value": engine},
                 ["id", "value"],
@@ -90,7 +103,7 @@ class TestSuiteEquivalence:
                 workers=1,
                 chunk_size=5,
             ) as executor:
-                encoded = "".join(chunk for chunk, _, _, _ in executor.run_chunks(lines))
+                encoded = _encoded(_chunks(executor, dataset))
             decoded = list(csv.DictReader(io.StringIO(executor.header_text() + encoded)))
             assert decoded == [
                 {"id": row["id"], "value": row["value"]} for row in batch
@@ -141,57 +154,54 @@ class TestTransformTableIter:
 
 
 class TestShardedTableExecutor:
-    def test_multi_column_one_pass(self, phone_engine):
+    def test_multi_column_one_pass(self, phone_engine, tmp_path):
         values, _ = phone_dataset(count=40, format_count=4, seed=29)
         header = ["a", "b"]
         data = [[values[i], values[i + 1]] for i in range(0, 40, 2)]
+        dataset = _write_csv(tmp_path / "data.csv", header, data)
         with ShardedTableExecutor(
             {"a": phone_engine, "b": phone_engine}, header, workers=2, chunk_size=4
         ) as executor:
-            encoded = "".join(
-                chunk for chunk, _, _, _ in executor.run_chunks(_csv_lines(header, data))
-            )
+            encoded = _encoded(_chunks(executor, dataset, shard_bytes=128))
         rows = list(csv.DictReader(io.StringIO(executor.header_text() + encoded)))
         assert set(rows[0]) == {"a", "b", "a_transformed", "b_transformed"}
         for source, row in zip(data, rows):
             assert row["a_transformed"] == phone_engine.run_one(source[0]).output
             assert row["b_transformed"] == phone_engine.run_one(source[1]).output
 
-    def test_jsonl_chunks(self, phone_engine):
+    def test_jsonl_chunks(self, phone_engine, tmp_path):
         header = ["id", "phone"]
         data = [["1", "(906) 555-1234"], ["2", "906.555.9999"]]
+        dataset = _write_csv(tmp_path / "data.csv", header, data)
         with ShardedTableExecutor(
             {"phone": phone_engine}, header, out_format="jsonl", workers=1
         ) as executor:
             assert executor.header_text() == ""
-            encoded, rows, flagged, _ = next(executor.run_chunks(_csv_lines(header, data)))
-        assert rows == 2 and flagged == 0
-        objects = [json.loads(line) for line in encoded.splitlines()]
+            (chunk,) = _chunks(executor, dataset)
+        assert chunk.rows == 2 and chunk.flagged == 0
+        objects = [json.loads(line) for line in chunk.text.splitlines()]
         assert objects[0] == {
             "id": "1",
             "phone": "(906) 555-1234",
             "phone_transformed": "906-555-1234",
         }
 
-    def test_quoted_embedded_newlines_survive_chunking(self, phone_engine):
+    def test_quoted_embedded_newlines_survive_chunking(self, phone_engine, tmp_path):
         header = ["note", "phone"]
         data = [['line one\nline two', "(906) 555-1234"]] * 7
-        lines = _csv_lines(header, data)
-        assert len(lines) > len(data)  # records really span physical lines
+        dataset = _write_csv(tmp_path / "data.csv", header, data)
         with ShardedTableExecutor(
             {"phone": phone_engine}, header, workers=1, chunk_size=1
         ) as executor:
-            chunks = list(executor.run_chunks(lines))
-        assert sum(rows for _, rows, _, _ in chunks) == 7
-        decoded = list(
-            csv.DictReader(
-                io.StringIO(executor.header_text() + "".join(chunk for chunk, _, _, _ in chunks))
-            )
-        )
+            chunks = _chunks(executor, dataset)
+        assert sum(chunk.rows for chunk in chunks) == 7
+        decoded = list(csv.DictReader(io.StringIO(executor.header_text() + _encoded(chunks))))
         assert all(row["note"] == "line one\nline two" for row in decoded)
         assert all(row["phone_transformed"] == "906-555-1234" for row in decoded)
 
-    def test_stray_quotes_in_unquoted_cells_are_data_not_delimiters(self, phone_engine):
+    def test_stray_quotes_in_unquoted_cells_are_data_not_delimiters(
+        self, phone_engine, tmp_path
+    ):
         # A lone inch-mark in an unquoted cell must not fool the record
         # chunker: csv treats quotes as special only at field start.
         header = ["note", "phone"]
@@ -200,11 +210,11 @@ class TestShardedTableExecutor:
             '"begin\nend",906.555.9999\n',
             'a,906-555-0000\n',
         ]
+        dataset = _write_lines(tmp_path / "data.csv", header, lines)
         with ShardedTableExecutor(
             {"phone": phone_engine}, header, workers=1, chunk_size=1
         ) as executor:
-            chunks = list(executor.run_chunks(list(lines)))
-            encoded = executor.header_text() + "".join(chunk for chunk, _, _, _ in chunks)
+            encoded = executor.header_text() + _encoded(_chunks(executor, dataset))
         decoded = list(csv.DictReader(io.StringIO(encoded)))
         assert [row["note"] for row in decoded] == ['6" nail', "begin\nend", "a"]
         assert [row["phone_transformed"] for row in decoded] == [
@@ -213,32 +223,47 @@ class TestShardedTableExecutor:
             "906-555-0000",
         ]
 
-    def test_lone_stray_quote_does_not_latch_chunking_open(self, phone_engine):
+    def test_lone_stray_quote_does_not_latch_chunking_open(
+        self, phone_engine, tmp_path, monkeypatch
+    ):
         # A single odd-quote line must not glue the rest of the file
-        # into one unbounded chunk.
+        # into one unbounded transform batch.
+        import repro.engine.parallel as parallel_module
+
         lines = ['6" nail,906.555.9999\n'] + ['a,906-555-0000\n'] * 9
+        dataset = _write_lines(tmp_path / "data.csv", ["note", "phone"], lines)
+        batch_sizes = []
+        original = parallel_module._transform_lines
+
+        def recording(spec, engines, first_line, lines, source=None, in_format="csv"):
+            batch_sizes.append(len(lines))
+            return original(spec, engines, first_line, lines, source, in_format)
+
+        monkeypatch.setattr(parallel_module, "_transform_lines", recording)
         with ShardedTableExecutor(
             {"phone": phone_engine}, ["note", "phone"], workers=1, chunk_size=2
         ) as executor:
-            chunks = list(executor.run_chunks(lines))
-        assert len(chunks) == 5  # 10 rows at chunk_size=2, no latching
-        assert sum(rows for _, rows, _, _ in chunks) == 10
+            chunks = _chunks(executor, dataset)
+        assert batch_sizes == [2] * 5  # 10 rows at chunk_size=2, no latching
+        assert sum(chunk.rows for chunk in chunks) == 10
 
-    def test_ragged_row_raises_with_line_number(self, phone_engine):
+    def test_ragged_row_raises_with_line_number(self, phone_engine, tmp_path):
         lines = ["1,734-422-8073\n", "2,906-555-1234,stray\n"]
-        with ShardedTableExecutor(
-            {"phone": phone_engine}, ["id", "phone"], source="data.csv", workers=1
-        ) as executor:
-            with pytest.raises(CLXError, match=r"data\.csv line 3"):
-                list(executor.run_chunks(lines, first_line=2))
-
-    def test_flagged_cells_are_counted(self, phone_engine):
-        lines = ["1,N/A?!\n", "2,906.555.9999\n"]
+        dataset = _write_lines(tmp_path / "data.csv", ["id", "phone"], lines)
         with ShardedTableExecutor(
             {"phone": phone_engine}, ["id", "phone"], workers=1
         ) as executor:
-            _, rows, flagged, _ = next(executor.run_chunks(lines))
-        assert rows == 2 and flagged == 1
+            with pytest.raises(CLXError, match=r"data\.csv line 3"):
+                _chunks(executor, dataset)
+
+    def test_flagged_cells_are_counted(self, phone_engine, tmp_path):
+        lines = ["1,N/A?!\n", "2,906.555.9999\n"]
+        dataset = _write_lines(tmp_path / "data.csv", ["id", "phone"], lines)
+        with ShardedTableExecutor(
+            {"phone": phone_engine}, ["id", "phone"], workers=1
+        ) as executor:
+            (chunk,) = _chunks(executor, dataset)
+        assert chunk.rows == 2 and chunk.flagged == 1
 
     def test_rejects_bad_configuration(self, phone_engine):
         with pytest.raises(ValidationError):
@@ -256,27 +281,39 @@ class TestShardedTableExecutor:
         with pytest.raises(ValidationError):
             ShardedTableExecutor({"a": phone_engine}, ["a"], chunk_size=0)
 
-    def test_parallel_output_equals_serial_output(self, phone_engine):
+    def test_parallel_output_equals_serial_output(self, phone_engine, tmp_path):
         values, _ = phone_dataset(count=400, format_count=4, seed=31)
         header = ["id", "phone"]
         data = [[str(index), value] for index, value in enumerate(values)]
-        lines = _csv_lines(header, data)
+        dataset = _write_csv(tmp_path / "data.csv", header, data)
 
         def run(workers):
             with ShardedTableExecutor(
                 {"phone": phone_engine}, header, workers=workers, chunk_size=16
             ) as executor:
-                return "".join(chunk for chunk, _, _, _ in executor.run_chunks(list(lines)))
+                return _encoded(_chunks(executor, dataset, shard_bytes=512))
 
         assert run(1) == run(2)
 
-    def test_dead_worker_raises_clx_error_instead_of_hanging(self, phone_engine):
-        lines = ["1,734-422-8073\n"] * 20 + [_Kamikaze("2,906-555-1234\n")]
-        with ShardedTableExecutor(
-            {"phone": phone_engine}, ["id", "phone"], workers=2, chunk_size=4
-        ) as executor:
-            with pytest.raises(CLXError, match="worker process died"):
-                list(executor.run_chunks(lines))
+    def test_dead_worker_raises_clx_error_instead_of_hanging(
+        self, phone_engine, tmp_path, monkeypatch
+    ):
+        dataset = _write_csv(
+            tmp_path / "data.csv",
+            ["id", "phone"],
+            [[index, "734-422-8073"] for index in range(40)],
+        )
+        monkeypatch.setenv(faults.FAULTS_ENV, "worker.shard:crash:*")
+        faults.reset()
+        try:
+            with ShardedTableExecutor(
+                {"phone": phone_engine}, ["id", "phone"], workers=2, chunk_size=4
+            ) as executor:
+                with pytest.raises(CLXError, match="worker process died"):
+                    _chunks(executor, dataset, shard_bytes=128)
+        finally:
+            monkeypatch.delenv(faults.FAULTS_ENV)
+            faults.reset()
 
 
 class TestSessionApplyTable:

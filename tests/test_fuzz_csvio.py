@@ -5,7 +5,7 @@ The byte-range fan-out stands on two primitives in :mod:`repro.util.csvio`:
 * :func:`record_open_after` — the per-line quote-parity state machine
   (csv-module semantics: a quote is only special at field start, ``""``
   escapes, a stray inch-mark in an unquoted cell is data);
-* :func:`record_aligned_offsets` — one sequential scan mapping byte
+* :func:`iter_record_cut_points` — one sequential scan mapping byte
   targets to *record* boundaries, which is what lets shards split files
   whose quoted fields contain embedded newlines.
 
@@ -29,10 +29,15 @@ import io
 
 from repro.clustering.incremental import IncrementalProfiler
 from repro.clustering.parallel import ParallelProfiler
-from repro.util.csvio import record_aligned_offsets, record_open_after
+from repro.util.csvio import iter_record_cut_points, record_open_after
 
 #: Fuzz rounds per property.
 ROUNDS = 25
+
+
+def _aligned_offsets(path, end, targets):
+    """The record-aligned cut offsets for ``targets`` over ``[0, end)``."""
+    return [offset for offset, _ in iter_record_cut_points(str(path), 0, end, targets)]
 
 #: Cell ingredients skewed toward quoting edge cases.
 _CELL_POOLS = (
@@ -127,7 +132,7 @@ class TestRecordAlignedOffsets:
             true_starts = set(starts) | {len(raw)}
 
             targets = sorted(rng.randrange(len(raw) + 1) for _ in range(rng.randint(1, 6)))
-            aligned = record_aligned_offsets(str(path), 0, len(raw), targets)
+            aligned = _aligned_offsets(path, len(raw), targets)
             assert len(aligned) == len(targets), context
             assert aligned == sorted(aligned), context
             for target, offset in zip(targets, aligned):
@@ -146,7 +151,7 @@ class TestRecordAlignedOffsets:
             targets = sorted(rng.randrange(len(raw) + 1) for _ in range(rng.randint(1, 5)))
             bounds = (
                 [0]
-                + record_aligned_offsets(str(path), 0, len(raw), targets)
+                + _aligned_offsets(path, len(raw), targets)
                 + [len(raw)]
             )
             pieces = [

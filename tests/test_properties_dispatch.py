@@ -130,7 +130,7 @@ class TestSinkByteIdentity:
 
     One representative artifact applied over a heavy-hitter CSV through
     the full dataset path: naive single-process oracle vs memo+merged at
-    several worker counts, plus an adaptive-chunking run.
+    several worker counts.
     """
 
     @pytest.fixture(scope="class")
@@ -174,22 +174,3 @@ class TestSinkByteIdentity:
                 chunk_size=7,  # tiny chunks: many tasks, many memo reuses
             )
             assert actual == oracle, f"workers={workers}"
-
-    def test_bytes_identical_with_adaptive_chunks(self, apply_case):
-        artifact, source, root = apply_case
-        oracle = self._apply_bytes(
-            artifact,
-            source,
-            root / "static.csv",
-            load_kwargs={"memo_size": 0, "merged_dispatch": False},
-            workers=1,
-        )
-        adaptive = self._apply_bytes(
-            artifact,
-            source,
-            root / "adaptive.csv",
-            workers=2,
-            chunk_size=5,
-            adaptive_target_ms=1,  # aggressive resizing on purpose
-        )
-        assert adaptive == oracle
