@@ -21,7 +21,7 @@ import time
 
 from repro.bench.phone import phone_dataset
 from repro.core.session import CLXSession
-from repro.dsl.interpreter import apply_program
+from repro.dsl.interpreter import apply_program, apply_with_target
 from repro.engine.compiled import CompiledProgram
 from repro.patterns.matching import matches
 from repro.util.text import format_table
@@ -119,7 +119,8 @@ def test_perf_memo_on_repeated_values(benchmark):
     The 300(6) program applied to a stream where every distinct value
     appears many times (the heavy-hitter shape of real columns): the
     default memoized hot loop has to beat the same program reloaded
-    with the memo and merged regex disabled.
+    with the memo disabled, and both must equal the reference
+    interpreter.
     """
     raw, _expected = phone_dataset(count=300, format_count=6, seed=331)
     session = CLXSession(raw)
@@ -127,7 +128,7 @@ def test_perf_memo_on_repeated_values(benchmark):
     artifact = session.compile().dumps()
 
     fast = CompiledProgram.loads(artifact)
-    naive = CompiledProgram.loads(artifact, memo_size=0, merged_dispatch=False)
+    naive = CompiledProgram.loads(artifact, memo_size=0)
 
     # 300 distinct values repeated to the apply size, deterministic order.
     distinct, _ = phone_dataset(count=300, format_count=6, seed=97)
@@ -144,7 +145,13 @@ def test_perf_memo_on_repeated_values(benchmark):
     fast_report = fast.run(values)
     fast_seconds = time.perf_counter() - start
 
-    assert fast_report.outputs == naive_report.outputs
+    reference = {
+        value: apply_with_target(fast.program, fast.target, value).output
+        for value in distinct
+    }
+    expected = [reference[value] for value in values]
+    assert naive_report.outputs == expected
+    assert fast_report.outputs == expected
     stats = fast.memo_stats()
     hit_rate = stats["hits"] / (stats["hits"] + stats["misses"])
     speedup = naive_seconds / fast_seconds if fast_seconds else float("inf")

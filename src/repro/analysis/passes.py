@@ -235,7 +235,7 @@ def check_plan_sanity(
 ) -> List[Finding]:
     """Identity plans, constant outputs, unused tokens, degenerate guards."""
     findings: List[Finding] = []
-    target_match = compile_pattern(compiled.target).match
+    target_match = compile_pattern(compiled.target).fullmatch
     for index, branch in enumerate(compiled.program.branches):
         location = _branch_location(name, index)
         expressions = branch.plan.expressions

@@ -38,7 +38,7 @@ class RegexRule:
 
     def matches(self, value: str) -> bool:
         """Whether this rule applies to ``value``."""
-        return re.match(self.regex, value) is not None
+        return re.fullmatch(self.regex, value) is not None
 
 
 class RegexReplaceSession:

@@ -103,6 +103,7 @@ if TYPE_CHECKING:
 
 from repro.clustering.incremental import DEFAULT_EXEMPLAR_CAP, IncrementalProfiler
 from repro.core.session import CLXSession
+from repro.dataset.shards import DEFAULT_APPLY_SHARD_BYTES, DEFAULT_TABLE_CHUNK_LINES
 from repro.engine.compiled import DEFAULT_MEMO_SIZE
 from repro.engine.executor import TransformEngine
 from repro.util.csvio import resolve_column
@@ -1041,17 +1042,17 @@ def build_parser() -> argparse.ArgumentParser:
     apply_cmd.add_argument(
         "--chunk-size",
         type=int,
-        default=4096,
+        default=DEFAULT_TABLE_CHUNK_LINES,
         help="physical lines per transform batch inside each worker "
-        "(default 4096)",
+        f"(default {DEFAULT_TABLE_CHUNK_LINES})",
     )
     apply_cmd.add_argument(
         "--shard-bytes",
         type=int,
-        default=1 << 20,
+        default=DEFAULT_APPLY_SHARD_BYTES,
         help="split partitions larger than this many bytes into "
         "record-aligned byte-range shards for cross-partition dispatch "
-        "(default 1 MiB)",
+        f"(default {DEFAULT_APPLY_SHARD_BYTES >> 20} MiB)",
     )
     apply_cmd.add_argument(
         "--workers",

@@ -40,6 +40,7 @@ from repro.clustering.hierarchy import PatternHierarchy
 from repro.clustering.profiler import PatternProfiler
 from repro.core.preview import PreviewRow, preview_table
 from repro.core.result import TransformReport
+from repro.dataset.shards import DEFAULT_APPLY_SHARD_BYTES, DEFAULT_TABLE_CHUNK_LINES
 from repro.dsl.ast import AtomicPlan, UniFiProgram
 from repro.dsl.explain import explain_program
 from repro.engine.compiled import CompiledProgram
@@ -436,8 +437,8 @@ class CLXSession:
         delimiter: str = ",",
         in_place: bool = False,
         workers: Optional[int] = None,
-        chunk_size: int = 4096,
-        shard_bytes: int = 1 << 20,
+        chunk_size: int = DEFAULT_TABLE_CHUNK_LINES,
+        shard_bytes: int = DEFAULT_APPLY_SHARD_BYTES,
         on_error: str = "abort",
         quarantine_dir=None,
         shard_timeout: Optional[float] = None,

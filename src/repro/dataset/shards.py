@@ -35,6 +35,9 @@ from repro.util.errors import CLXError
 #: serialize the whole dataset behind a single worker.
 DEFAULT_APPLY_SHARD_BYTES = 1 << 20
 
+#: Default number of physical lines per transform batch inside a shard.
+DEFAULT_TABLE_CHUNK_LINES = 4096
+
 
 @dataclass(frozen=True)
 class Shard:

@@ -82,6 +82,18 @@ def apply_program(program: UniFiProgram, value: str) -> TransformOutcome:
     return TransformOutcome(output=value, matched=False, pattern=None)
 
 
+def apply_with_target(program: UniFiProgram, target: Pattern, value: str) -> TransformOutcome:
+    """Apply ``program`` to ``value``, passing target-conforming values through.
+
+    The reference semantics of a compiled artifact: a value that already
+    matches ``target`` comes back unchanged and matched by the target,
+    anything else goes through :func:`apply_program`.
+    """
+    if match_pattern(value, target) is not None:
+        return TransformOutcome(output=value, matched=True, pattern=target)
+    return apply_program(program, value)
+
+
 def transform_all(program: UniFiProgram, values: Sequence[str]) -> List[TransformOutcome]:
     """Apply ``program`` to every value, preserving order."""
     return [apply_program(program, value) for value in values]

@@ -37,7 +37,7 @@ class ReplaceOperation:
 
     def matches(self, value: str) -> bool:
         """Whether this operation applies to ``value``."""
-        return self.compiled().match(value) is not None
+        return self.compiled().fullmatch(value) is not None
 
     def apply(self, value: str) -> str:
         """Apply the replacement to ``value``.
@@ -46,7 +46,7 @@ class ReplaceOperation:
         mirrors how an ordered list of Replace operations behaves in a
         wrangling tool.
         """
-        match = self.compiled().match(value)
+        match = self.compiled().fullmatch(value)
         if match is None:
             return value
         return _substitute(self.replacement, match)

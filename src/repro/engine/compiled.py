@@ -10,34 +10,28 @@ half should be as close to raw regex matching as Python allows.
 
 :class:`CompiledProgram` is that artifact.  Compiling resolves, up front:
 
-* the target pattern into a single anchored pass-through regex,
+* the target pattern into a single pass-through regex,
 * every branch pattern into a precompiled regex with one capture group
   per token,
 * every plan into a flat tuple of ops — constant strings and 0-based
   capture-group slices — with ``Extract`` ranges bounds-checked against
   the branch pattern at compile time,
-* every guard into a bound predicate (unguarded branches pay nothing),
-* the maximal leading run of *unguarded* branches into one merged
-  dispatch regex (an alternation with per-branch group namespaces), so
-  dispatch costs a single scan instead of one ``match`` per branch.
+* every guard into a bound predicate (unguarded branches pay nothing).
 
-At run time two further optimizations apply:
+Dispatch is the paper's first-match-wins Switch, in one place
+(:meth:`CompiledProgram._dispatch`): a value that already matches the
+target passes through, otherwise the first branch whose guard holds
+and whose regex matches the *whole* value transforms it.  Regexes
+decide membership with ``fullmatch``, so a trailing newline can never
+slip past a ``$`` anchor.
 
-* **Merged dispatch.**  Branch order is first-match-wins, which is
-  exactly the semantics of a regex alternation — but only while no
-  guard can veto a branch.  The merged regex therefore covers the
-  leading unguarded branches; ``match.lastindex`` always lands inside
-  the alternative that matched (backtracking clears the groups of
-  failed alternatives), so a precomputed group→branch table identifies
-  the winner without re-matching.  Guarded branches, and every branch
-  after the first guard, fall back to the sequential per-branch loop.
-* **Value memo.**  Guards and plans are pure functions of the input
-  value, so the full :class:`TransformOutcome` for a value can be
-  cached.  Real columns are heavy-hitter distributed; a small bounded
-  LRU (``memo_size`` entries, least-recently-used eviction) lets
-  repeated values skip regex work entirely.  The memo is a runtime
-  knob — it is not part of the artifact, does not affect equality or
-  serialization, and ``memo_size=0`` disables it.
+On top of dispatch sits a **value memo**.  Guards and plans are pure
+functions of the input value, so the full :class:`TransformOutcome`
+for a value can be cached.  Real columns are heavy-hitter distributed;
+a small bounded LRU (``memo_size`` entries, least-recently-used
+eviction) lets repeated values skip regex work entirely.  The memo is
+a runtime knob — it is not part of the artifact, does not affect
+equality or serialization, and ``memo_size=0`` disables it.
 
 A compiled program is immutable in its observable behaviour, safe to
 share across threads (the memo tolerates concurrent access: entries are
@@ -50,7 +44,6 @@ original data or session.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.result import TransformReport
@@ -121,64 +114,13 @@ class _CompiledBranch:
 
     def __init__(self, branch: Branch, index: int) -> None:
         self.pattern = branch.pattern
-        self.match = compiled_with_groups(branch.pattern).match
+        self.match = compiled_with_groups(branch.pattern).fullmatch
         self.guard: Optional[Callable[[str], bool]] = (
             branch.guard.holds if branch.guard is not None else None
         )
         self.ops = _compile_plan_ops(
             branch.plan, len(branch.pattern), branch.pattern, index
         )
-
-
-def _build_merged_dispatch(
-    branches: Sequence[_CompiledBranch],
-) -> Tuple[Optional[Callable[[str], Optional[re.Match[str]]]], Tuple[int, ...], Tuple[Tuple[PlanOp, ...], ...], int]:
-    """Merge the leading unguarded branches into one alternation regex.
-
-    Returns ``(match, group_to_branch, shifted_plans, prefix)`` where
-    ``prefix`` is how many leading branches the merged regex covers.
-    ``group_to_branch`` maps a 1-based capture-group number to the index
-    of the branch that owns it, and ``shifted_plans[i]`` is branch
-    ``i``'s op tuple with every group slice offset by the branch's group
-    base, so the ops index directly into the merged match's ``groups()``.
-
-    A merged regex is only built when at least two leading branches are
-    unguarded — a guard is a per-value veto the alternation cannot
-    express, so the first guarded branch (and everything after it, which
-    must not be tried before it) stays on the sequential loop.
-    """
-    prefix = 0
-    for branch in branches:
-        if branch.guard is not None:
-            break
-        prefix += 1
-    if prefix < 2:
-        return None, (), (), 0
-    alternatives: List[str] = []
-    group_to_branch: List[int] = [-1]  # capture-group numbers are 1-based
-    shifted_plans: List[Tuple[PlanOp, ...]] = []
-    for index in range(prefix):
-        branch = branches[index]
-        tokens = branch.pattern.tokens
-        base = len(group_to_branch) - 1  # 0-based offset into match.groups()
-        if tokens:
-            alternatives.append(
-                "(?:" + "".join(f"({token.to_regex()})" for token in tokens) + ")"
-            )
-            group_to_branch.extend([index] * len(tokens))
-        else:
-            # An empty pattern matches only "": an empty capture group
-            # participates on that match, keeping lastindex dispatch valid.
-            alternatives.append("()")
-            group_to_branch.append(index)
-        shifted_plans.append(
-            tuple(
-                op if type(op) is str else (op[0] + base, op[1] + base)
-                for op in branch.ops
-            )
-        )
-    merged = re.compile("^(?:" + "|".join(alternatives) + ")$")
-    return merged.match, tuple(group_to_branch), tuple(shifted_plans), prefix
 
 
 class CompiledProgram:
@@ -194,10 +136,6 @@ class CompiledProgram:
         memo_size: Bound on the value→outcome LRU memo; ``0`` disables
             memoization.  A runtime knob — not serialized, and excluded
             from equality/hashing.
-        merged_dispatch: Whether to build the merged dispatch regex over
-            the leading unguarded branches.  Disabling it (together with
-            ``memo_size=0``) recovers the naive sequential branch loop,
-            which the differential test suite uses as its oracle.
 
     Raises:
         TransformError: If any plan extracts token indices that do not
@@ -219,10 +157,6 @@ class CompiledProgram:
         "_memo_size",
         "_memo_hits",
         "_memo_misses",
-        "_merged_match",
-        "_group_to_branch",
-        "_merged_plans",
-        "_merged_prefix",
     )
 
     def __init__(
@@ -232,7 +166,6 @@ class CompiledProgram:
         metadata: Optional[Dict[str, Any]] = None,
         *,
         memo_size: int = DEFAULT_MEMO_SIZE,
-        merged_dispatch: bool = True,
     ) -> None:
         self._program = program
         self._target = target
@@ -249,7 +182,7 @@ class CompiledProgram:
                 raise SerializationError(
                     f"artifact metadata must be JSON-serializable: {error}"
                 ) from error
-        self._target_match = compile_pattern(target).match
+        self._target_match = compile_pattern(target).fullmatch
         self._branches = tuple(
             _CompiledBranch(branch, index)
             for index, branch in enumerate(program.branches)
@@ -260,18 +193,6 @@ class CompiledProgram:
         )
         self._memo_hits = 0
         self._memo_misses = 0
-        if merged_dispatch:
-            (
-                self._merged_match,
-                self._group_to_branch,
-                self._merged_plans,
-                self._merged_prefix,
-            ) = _build_merged_dispatch(self._branches)
-        else:
-            self._merged_match = None
-            self._group_to_branch = ()
-            self._merged_plans = ()
-            self._merged_prefix = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -295,16 +216,6 @@ class CompiledProgram:
     def memo_size(self) -> int:
         """The configured memo bound (``0`` = memoization disabled)."""
         return self._memo_size
-
-    @property
-    def merged_dispatch(self) -> bool:
-        """Whether a merged dispatch regex is active."""
-        return self._merged_match is not None
-
-    @property
-    def merged_prefix(self) -> int:
-        """How many leading branches the merged regex covers (0 if none)."""
-        return self._merged_prefix
 
     def memo_stats(self) -> Dict[str, int]:
         """Memo counters: hits, misses, live entries, and the bound."""
@@ -342,26 +253,17 @@ class CompiledProgram:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _transform(self, value: str) -> TransformOutcome:
-        """Compute one value's outcome, without consulting the memo."""
+    def _dispatch(self, value: str) -> Tuple[str, Optional[Pattern]]:
+        """Run one value through the Switch, without consulting the memo.
+
+        Returns ``(output, pattern)``: the target itself for a value
+        that already conforms, the source pattern of the first branch
+        whose guard holds and whose regex matches, or ``None`` (with the
+        value unchanged) when nothing matches.
+        """
         if self._target_match(value) is not None:
-            return TransformOutcome(output=value, matched=True, pattern=self._target)
-        merged_match = self._merged_match
-        if merged_match is not None:
-            match = merged_match(value)
-            if match is not None:
-                last = match.lastindex
-                assert last is not None  # every alternative has >= 1 group
-                index = self._group_to_branch[last]
-                groups = match.groups()
-                output = "".join(
-                    op if type(op) is str else "".join(groups[op[0] : op[1]])
-                    for op in self._merged_plans[index]
-                )
-                return TransformOutcome(
-                    output=output, matched=True, pattern=self._branches[index].pattern
-                )
-        for branch in self._branches[self._merged_prefix :]:
+            return value, self._target
+        for branch in self._branches:
             guard = branch.guard
             if guard is not None and not guard(value):
                 continue
@@ -373,126 +275,89 @@ class CompiledProgram:
                 op if type(op) is str else "".join(groups[op[0] : op[1]])
                 for op in branch.ops
             )
-            return TransformOutcome(output=output, matched=True, pattern=branch.pattern)
-        return TransformOutcome(output=value, matched=False, pattern=None)
+            return output, branch.pattern
+        return value, None
 
-    def run_one(self, value: str) -> TransformOutcome:
-        """Transform one value (memo, then merged dispatch, then branch loop)."""
-        memo = self._memo
-        if memo is None:
-            return self._transform(value)
-        outcome = memo.pop(value, None)
-        if outcome is not None:
-            memo[value] = outcome  # re-insert: most-recently-used position
-            self._memo_hits += 1
-            return outcome
-        outcome = self._transform(value)
-        self._memo_misses += 1
+    def _remember(
+        self, memo: Dict[str, TransformOutcome], value: str, outcome: TransformOutcome
+    ) -> None:
+        """Insert a miss at the most-recently-used end, evicting the oldest."""
         memo[value] = outcome
         if len(memo) > self._memo_size:
             try:
                 del memo[next(iter(memo))]  # oldest = least recently used
             except (KeyError, StopIteration):  # pragma: no cover - thread race
                 pass
+
+    def run_one(self, value: str) -> TransformOutcome:
+        """Transform one value (memo first, then :meth:`_dispatch`)."""
+        memo = self._memo
+        if memo is not None:
+            cached = memo.pop(value, None)
+            if cached is not None:
+                memo[value] = cached  # re-insert: most-recently-used position
+                self._memo_hits += 1
+                return cached
+        output, pattern = self._dispatch(value)
+        outcome = TransformOutcome(output=output, matched=pattern is not None, pattern=pattern)
+        if memo is not None:
+            self._memo_misses += 1
+            self._remember(memo, value, outcome)
         return outcome
 
     def run(self, values: Sequence[str]) -> TransformReport:
         """Batch-transform ``values`` into a :class:`TransformReport`.
 
         Semantically identical to calling :meth:`run_one` per value, but
-        with the dispatch table and memo bound to locals for the tight
-        loop.
+        with the memo bound to locals for the tight loop.
         """
         inputs = list(values)
         outputs: List[str] = []
         matched: List[Optional[Pattern]] = []
         append_output = outputs.append
         append_matched = matched.append
-        target = self._target
-        target_match = self._target_match
-        branches = self._branches
-        tail = branches[self._merged_prefix :]
-        merged_match = self._merged_match
-        group_to_branch = self._group_to_branch
-        merged_plans = self._merged_plans
-        memo = self._memo
-        memo_size = self._memo_size
-        memo_pop = memo.pop if memo is not None else None
+        dispatch = self._dispatch
+        remember = self._remember
+        consult = self._memo is not None
+        memo: Dict[str, TransformOutcome] = {} if self._memo is None else self._memo
+        memo_pop = memo.pop
         hits = 0
         misses = 0
-        join = "".join
         for value in inputs:
-            if memo_pop is not None:
+            if consult:
                 cached = memo_pop(value, None)
                 if cached is not None:
-                    memo[value] = cached  # type: ignore[index]
+                    memo[value] = cached  # re-insert: most-recently-used position
                     hits += 1
                     append_output(cached.output)
                     append_matched(cached.pattern)
                     continue
-            pattern: Optional[Pattern]
-            if target_match(value) is not None:
-                output = value
-                pattern = target
-            else:
-                output = value
-                pattern = None
-                if merged_match is not None:
-                    merged = merged_match(value)
-                    if merged is not None:
-                        last = merged.lastindex
-                        assert last is not None
-                        index = group_to_branch[last]
-                        groups = merged.groups()
-                        output = join(
-                            op if type(op) is str else join(groups[op[0] : op[1]])
-                            for op in merged_plans[index]
-                        )
-                        pattern = branches[index].pattern
-                if pattern is None:
-                    for branch in tail:
-                        guard = branch.guard
-                        if guard is not None and not guard(value):
-                            continue
-                        match = branch.match(value)
-                        if match is None:
-                            continue
-                        groups = match.groups()
-                        output = join(
-                            op if type(op) is str else join(groups[op[0] : op[1]])
-                            for op in branch.ops
-                        )
-                        pattern = branch.pattern
-                        break
-            if memo is not None:
+            output, pattern = dispatch(value)
+            if consult:
                 misses += 1
-                if memo_pop is not None:
-                    memo[value] = TransformOutcome(
-                        output=output, matched=pattern is not None, pattern=pattern
-                    )
-                    if len(memo) > memo_size:
-                        try:
-                            del memo[next(iter(memo))]
-                        except (KeyError, StopIteration):  # pragma: no cover - thread race
-                            pass
-                    # Mostly-distinct batches turn the memo into pure
-                    # dict churn (an LRU sees a cyclic stream larger
-                    # than itself as 100% misses), so once a warm-up
-                    # window shows the hit rate stuck under ~5%, stop
-                    # consulting it for the rest of this batch.  Misses
-                    # still count, so memo_stats() reflects the stream.
-                    if misses > _MEMO_BYPASS_WINDOW and hits * 19 < misses:
-                        memo_pop = None
+                remember(
+                    memo,
+                    value,
+                    TransformOutcome(output=output, matched=pattern is not None, pattern=pattern),
+                )
+                # Mostly-distinct batches turn the memo into pure dict
+                # churn (an LRU sees a cyclic stream larger than itself
+                # as 100% misses), so once a warm-up window shows the
+                # hit rate stuck under ~5%, stop consulting it for the
+                # rest of this batch.  Bypassed values still count as
+                # misses, so memo_stats() reflects the stream.
+                if misses > _MEMO_BYPASS_WINDOW and hits * 19 < misses:
+                    consult = False
             append_output(output)
             append_matched(pattern)
-        if memo is not None:
+        if self._memo is not None:
             self._memo_hits += hits
-            self._memo_misses += misses
+            self._memo_misses += len(inputs) - hits
         return TransformReport(
             inputs=inputs,
             outputs=outputs,
             matched_pattern=matched,
-            target=target,
+            target=self._target,
         )
 
     # ------------------------------------------------------------------
@@ -512,16 +377,12 @@ class CompiledProgram:
 
     @classmethod
     def from_dict(
-        cls,
-        payload: Any,
-        *,
-        memo_size: int = DEFAULT_MEMO_SIZE,
-        merged_dispatch: bool = True,
+        cls, payload: Any, *, memo_size: int = DEFAULT_MEMO_SIZE
     ) -> "CompiledProgram":
         """Rebuild (and recompile) a program from its :meth:`to_dict` form.
 
-        ``memo_size`` and ``merged_dispatch`` configure the rebuilt
-        program's runtime dispatch; they are not part of the artifact.
+        ``memo_size`` configures the rebuilt program's value memo; it is
+        not part of the artifact.
 
         Raises:
             SerializationError: On a wrong format marker, unsupported
@@ -547,7 +408,6 @@ class CompiledProgram:
             target=pattern_from_json(payload["target"]),
             metadata=metadata,
             memo_size=memo_size,
-            merged_dispatch=merged_dispatch,
         )
 
     def dumps(self, indent: Optional[int] = None) -> str:
@@ -555,13 +415,7 @@ class CompiledProgram:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
-    def loads(
-        cls,
-        text: str,
-        *,
-        memo_size: int = DEFAULT_MEMO_SIZE,
-        merged_dispatch: bool = True,
-    ) -> "CompiledProgram":
+    def loads(cls, text: str, *, memo_size: int = DEFAULT_MEMO_SIZE) -> "CompiledProgram":
         """Parse a JSON string produced by :meth:`dumps`.
 
         Raises:
@@ -571,9 +425,7 @@ class CompiledProgram:
             payload = json.loads(text)
         except json.JSONDecodeError as error:
             raise SerializationError(f"artifact is not valid JSON: {error}") from error
-        return cls.from_dict(
-            payload, memo_size=memo_size, merged_dispatch=merged_dispatch
-        )
+        return cls.from_dict(payload, memo_size=memo_size)
 
 
 def compile_program(
@@ -582,13 +434,6 @@ def compile_program(
     metadata: Optional[Dict[str, Any]] = None,
     *,
     memo_size: int = DEFAULT_MEMO_SIZE,
-    merged_dispatch: bool = True,
 ) -> CompiledProgram:
     """Functional spelling of :class:`CompiledProgram`'s constructor."""
-    return CompiledProgram(
-        program,
-        target,
-        metadata=metadata,
-        memo_size=memo_size,
-        merged_dispatch=merged_dispatch,
-    )
+    return CompiledProgram(program, target, metadata=metadata, memo_size=memo_size)

@@ -43,6 +43,7 @@ if TYPE_CHECKING:  # circular at runtime: dataset/parallel import engines
     from repro.engine.parallel import DatasetApplyResult
 
 from repro.core.result import TransformReport
+from repro.dataset.shards import DEFAULT_APPLY_SHARD_BYTES, DEFAULT_TABLE_CHUNK_LINES
 from repro.dsl.ast import UniFiProgram
 from repro.dsl.interpreter import TransformOutcome
 from repro.engine.compiled import DEFAULT_MEMO_SIZE, CompiledProgram
@@ -85,25 +86,14 @@ class TransformEngine:
         return cls(CompiledProgram(program, target, metadata=metadata))
 
     @classmethod
-    def loads(
-        cls,
-        text: str,
-        *,
-        memo_size: int = DEFAULT_MEMO_SIZE,
-        merged_dispatch: bool = True,
-    ) -> "TransformEngine":
+    def loads(cls, text: str, *, memo_size: int = DEFAULT_MEMO_SIZE) -> "TransformEngine":
         """Rebuild an engine from a serialized compiled-program artifact.
 
-        ``memo_size`` / ``merged_dispatch`` configure the rebuilt
-        program's hot-loop dispatch (see
-        :class:`~repro.engine.compiled.CompiledProgram`); they are
-        runtime knobs, not part of the artifact.
+        ``memo_size`` bounds the rebuilt program's value memo (see
+        :class:`~repro.engine.compiled.CompiledProgram`); it is a
+        runtime knob, not part of the artifact.
         """
-        return cls(
-            CompiledProgram.loads(
-                text, memo_size=memo_size, merged_dispatch=merged_dispatch
-            )
-        )
+        return cls(CompiledProgram.loads(text, memo_size=memo_size))
 
     def dumps(self, indent: Optional[int] = None) -> str:
         """Serialize the underlying compiled program."""
@@ -170,8 +160,8 @@ class TransformEngine:
         in_place: bool = False,
         output_columns: Optional[Mapping[str, str]] = None,
         workers: Optional[int] = None,
-        chunk_size: int = 4096,
-        shard_bytes: int = 1 << 20,
+        chunk_size: int = DEFAULT_TABLE_CHUNK_LINES,
+        shard_bytes: int = DEFAULT_APPLY_SHARD_BYTES,
         on_error: str = "abort",
         quarantine_dir: Union[str, "Path", None] = None,
         shard_timeout: Optional[float] = None,
@@ -316,7 +306,7 @@ class TransformEngine:
 
         chunk_size = validated_chunk_size(chunk_size)
         compiled = [
-            (column, _as_engine(column, program).compiled)
+            (column, as_compiled(program, f"column {column!r}"))
             for column, program in programs.items()
         ]
 
@@ -368,18 +358,23 @@ class TransformEngine:
         from repro.engine.parallel import transform_table_parallel
 
         compiled = [
-            (column, _as_engine(column, program).compiled)
+            (column, as_compiled(program, f"column {column!r}"))
             for column, program in programs.items()
         ]
         return list(transform_table_parallel(rows, compiled, resolved, chunk_size))
 
 
-def _as_engine(column: str, program: ProgramLike) -> TransformEngine:
+def as_compiled(program: ProgramLike, owner: str) -> CompiledProgram:
+    """The :class:`CompiledProgram` behind a program or engine.
+
+    ``owner`` names the caller (a class or a column) in the error raised
+    for any other type.
+    """
     if isinstance(program, TransformEngine):
-        return program
+        return program.compiled
     if isinstance(program, CompiledProgram):
-        return TransformEngine(program)
+        return program
     raise ValidationError(
-        f"column {column!r}: expected TransformEngine or CompiledProgram, "
+        f"{owner}: expected TransformEngine or CompiledProgram, "
         f"got {type(program).__name__}"
     )

@@ -49,9 +49,14 @@ from typing import (
 
 from repro.dataset.backends import backend_by_name, sink_format_names
 from repro.dataset.dataset import Dataset, DatasetPart
-from repro.dataset.shards import DEFAULT_APPLY_SHARD_BYTES, Shard, plan_part
+from repro.dataset.shards import (
+    DEFAULT_APPLY_SHARD_BYTES,
+    DEFAULT_TABLE_CHUNK_LINES,
+    Shard,
+    plan_part,
+)
 from repro.engine.compiled import CompiledProgram
-from repro.engine.executor import TransformEngine
+from repro.engine.executor import ProgramLike, as_compiled
 from repro.engine.resilience import (
     QuarantinedRecord,
     QuarantineWriter,
@@ -64,9 +69,6 @@ from repro.util.faults import maybe_fire
 from repro.util.pools import FaultPolicy, ResilientPool, indexed_chunks
 from repro.util.sinks import AtomicSink
 from repro.util.validate import validated_chunk_size, validated_workers
-
-#: Default number of physical lines per transform batch inside a shard.
-DEFAULT_TABLE_CHUNK_LINES = 4096
 
 #: Error modes for record-level failures during a table apply.
 ERROR_MODES = ("abort", "quarantine")
@@ -93,33 +95,19 @@ _TABLE_STATE: Optional[Tuple["TableSpec", List[CompiledProgram], int]] = None
 _ROWS_STATE: Optional[List[Tuple[str, CompiledProgram]]] = None
 
 
-def _coerce_program(program: Union[CompiledProgram, TransformEngine], owner: str) -> CompiledProgram:
-    if isinstance(program, TransformEngine):
-        program = program.compiled
-    if not isinstance(program, CompiledProgram):
-        raise ValidationError(
-            f"{owner} requires a CompiledProgram or TransformEngine, "
-            f"got {type(program).__name__}"
-        )
-    return program
-
-
 #: Wire form of one program for a pool initializer: the JSON artifact
-#: plus the runtime dispatch knobs (memo bound, merged dispatch), which
-#: are not part of the artifact but must match the parent's program so
-#: every worker runs the same hot path.
-ProgramWire = Tuple[str, int, bool]
+#: plus the memo bound, which is not part of the artifact but must match
+#: the parent's program so every worker memoizes the same way.
+ProgramWire = Tuple[str, int]
 
 
 def _program_wire(compiled: CompiledProgram) -> ProgramWire:
-    return (compiled.dumps(), compiled.memo_size, compiled.merged_dispatch)
+    return (compiled.dumps(), compiled.memo_size)
 
 
 def _program_from_wire(wire: ProgramWire) -> CompiledProgram:
-    artifact, memo_size, merged_dispatch = wire
-    return CompiledProgram.loads(
-        artifact, memo_size=memo_size, merged_dispatch=merged_dispatch
-    )
+    artifact, memo_size = wire
+    return CompiledProgram.loads(artifact, memo_size=memo_size)
 
 
 # ----------------------------------------------------------------------
@@ -160,17 +148,13 @@ def _encode_rows(spec: TableSpec, rows: List[List[str]]) -> str:
     )
 
 
-def _transform_lines_strict(
-    spec: TableSpec,
-    engines: Sequence[CompiledProgram],
-    first_line: int,
-    lines: List[str],
-    label: str,
-    in_format: str,
-) -> TableChunk:
-    """The fast whole-chunk pipeline: first bad record raises."""
-    rows = backend_by_name(in_format).parse_rows(spec, first_line, lines, label)
+def _transform_rows(
+    spec: TableSpec, engines: Sequence[CompiledProgram], rows: List[List[str]]
+) -> int:
+    """Transform every programmed column of ``rows`` in place.
 
+    Returns the number of cells no branch matched (flagged for review).
+    """
     flagged = 0
     for (input_index, output_index), compiled in zip(spec.transforms, engines):
         run_one = compiled.run_one
@@ -179,8 +163,7 @@ def _transform_lines_strict(
             row[output_index] = outcome.output
             if not outcome.matched:
                 flagged += 1
-
-    return TableChunk(_encode_rows(spec, rows), len(rows), flagged)
+    return flagged
 
 
 def _iter_records(
@@ -230,12 +213,12 @@ def _transform_lines_salvage(
 ) -> TableChunk:
     """Record-by-record replay of a failed chunk in quarantine mode.
 
-    Runs only after :func:`_transform_lines_strict` raised, so the
-    common all-clean chunk never pays per-record dispatch.  Each record
-    parses and transforms in isolation; a failure quarantines exactly
-    that record (absolute line number, original error, raw text) and
-    every clean record lands in the sink bytes exactly as the strict
-    path would have emitted it.
+    Runs only after the whole-chunk pass in :func:`_transform_lines`
+    raised, so the common all-clean chunk never pays per-record
+    dispatch.  Each record parses and transforms in isolation; a
+    failure quarantines exactly that record (absolute line number,
+    original error, raw text) and every clean record lands in the sink
+    bytes exactly as the whole-chunk pass would have emitted it.
     """
     backend = backend_by_name(in_format)
     good: List[List[str]] = []
@@ -246,13 +229,7 @@ def _transform_lines_salvage(
     ):
         try:
             rows = backend.parse_rows(spec, number, record_lines, label)
-            record_flagged = 0
-            for (input_index, output_index), compiled in zip(spec.transforms, engines):
-                for row in rows:
-                    outcome = compiled.run_one(row[input_index])
-                    row[output_index] = outcome.output
-                    if not outcome.matched:
-                        record_flagged += 1
+            record_flagged = _transform_rows(spec, engines, rows)
         except CLXError as error:
             quarantined.append(
                 QuarantinedRecord(label, number, str(error), _record_raw(record_lines))
@@ -288,7 +265,9 @@ def _transform_lines(
     label = source or spec.source
     maybe_fire("worker.chunk", key=f"{label}:{first_line}")
     try:
-        return _transform_lines_strict(spec, engines, first_line, lines, label, in_format)
+        rows = backend_by_name(in_format).parse_rows(spec, first_line, lines, label)
+        flagged = _transform_rows(spec, engines, rows)
+        return TableChunk(_encode_rows(spec, rows), len(rows), flagged)
     except CLXError:
         if spec.on_error != "quarantine":
             raise
@@ -303,8 +282,8 @@ def _init_table_worker(
     """Pool initializer: rebuild every column's program once per worker.
 
     Each worker gets its own dispatch memo (the wire form carries the
-    parent's ``memo_size`` / ``merged_dispatch`` knobs), so memoization
-    scales with the pool instead of being a parent-only optimization.
+    parent's ``memo_size``), so memoization scales with the pool instead
+    of being a parent-only optimization.
     """
     global _TABLE_STATE
     maybe_fire("worker.init")
@@ -434,7 +413,7 @@ class ShardedTableExecutor:
 
     def __init__(
         self,
-        programs: Mapping[str, Union[CompiledProgram, TransformEngine]],
+        programs: Mapping[str, ProgramLike],
         header: Sequence[str],
         output_columns: Optional[Mapping[str, str]] = None,
         out_format: str = "csv",
@@ -482,7 +461,7 @@ class ShardedTableExecutor:
                 output_index = len(output_fields)
                 output_fields.append(sink)
             transforms.append((fieldnames.index(column), output_index))
-            compiled_programs.append(_coerce_program(program, "ShardedTableExecutor"))
+            compiled_programs.append(as_compiled(program, "ShardedTableExecutor"))
 
         self._spec = TableSpec(
             fieldnames=fieldnames,

@@ -47,7 +47,7 @@ def match_pattern(value: str, pattern: Pattern) -> Optional[List[str]]:
     """
     if not pattern.tokens:
         return [] if value == "" else None
-    match = compiled_with_groups(pattern).match(value)
+    match = compiled_with_groups(pattern).fullmatch(value)
     if match is None:
         return None
     return list(match.groups())

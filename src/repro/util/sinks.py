@@ -15,7 +15,7 @@ import json
 import os
 from pathlib import Path
 from types import TracebackType
-from typing import IO, Any, Iterable, Optional, Type
+from typing import IO, Any, Optional, Type
 
 _SINK_COUNTER = itertools.count()
 
@@ -150,10 +150,3 @@ def write_json_atomic(path: Path, payload: Any) -> None:
     with AtomicSink(path) as sink:
         sink.write(json.dumps(payload, indent=2, sort_keys=True))
         sink.write("\n")
-
-
-def write_lines_atomic(path: Path, lines: Iterable[str]) -> None:
-    """Write pre-terminated lines and atomically replace ``path``."""
-    with AtomicSink(path) as sink:
-        for line in lines:
-            sink.write(line)

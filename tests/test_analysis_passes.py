@@ -110,11 +110,13 @@ class TestPlanAndGuardSanity:
         assert "CLX007" in _rules(report)
 
     def test_constant_only_plan_is_clx008(self):
-        constant = Branch(P("<L>+"), AtomicPlan([ConstStr("555-0000")]))
-        report = analyze_program(_compiled([constant]))
-        [item] = [f for f in report.findings if f.rule_id == "CLX008"]
-        assert item.data["constant"] == "555-0000"
-        assert item.data["matches_target"] is True
+        # A trailing newline keeps a constant out of the target language.
+        for text, matches_target in (("555-0000", True), ("555-0000\n", False)):
+            constant = Branch(P("<L>+"), AtomicPlan([ConstStr(text)]))
+            report = analyze_program(_compiled([constant]))
+            [item] = [f for f in report.findings if f.rule_id == "CLX008"]
+            assert item.data["constant"] == text
+            assert item.data["matches_target"] is matches_target
 
     def test_unused_data_tokens_are_clx009(self):
         partial = Branch(P("<D>3'.'<D>4"), AtomicPlan([Extract(1)]))

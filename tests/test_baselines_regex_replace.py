@@ -18,6 +18,7 @@ class TestRegexRule:
         rule = RegexRule(regex=r"^[0-9]+$", replacement="x")
         assert rule.matches("123")
         assert not rule.matches("abc")
+        assert not rule.matches("123\n")  # agrees with rule.as_operation()
 
 
 class TestSession:

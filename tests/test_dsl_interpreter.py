@@ -49,10 +49,13 @@ class TestApplyProgram:
         assert outcome.pattern is not None
 
     def test_unmatched_value_flagged_and_unchanged(self):
-        outcome = apply_program(self._program(), "N/A")
-        assert not outcome.matched
-        assert outcome.output == "N/A"
-        assert outcome.pattern is None
+        # A trailing newline (as a quoted CSV cell can carry) is not
+        # covered by the branch pattern, so it is unmatched too.
+        for value in ("N/A", "734.236.3466\n"):
+            outcome = apply_program(self._program(), value)
+            assert not outcome.matched
+            assert outcome.output == value
+            assert outcome.pattern is None
 
     def test_first_matching_branch_wins(self):
         specific = Branch(parse_pattern("<D>2"), AtomicPlan((ConstStr("specific"),)))

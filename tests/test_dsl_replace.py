@@ -22,6 +22,8 @@ class TestReplaceOperation:
         operation = ReplaceOperation(regex=r"^[0-9]+$", replacement="digits")
         assert operation.matches("123")
         assert not operation.matches("12a")
+        assert not operation.matches("123\n")  # "$" alone admits a final "\n"
+        assert operation.apply("123\n") == "123\n"
 
     def test_dollar_escape(self):
         operation = ReplaceOperation(regex=r"^([0-9]+)$", replacement="$$ $1")

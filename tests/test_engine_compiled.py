@@ -8,7 +8,7 @@ from repro.core.session import CLXSession
 from repro.core.transformer import transform_column
 from repro.dsl.ast import AtomicPlan, Branch, ConstStr, Extract, UniFiProgram
 from repro.dsl.guards import ContainsGuard
-from repro.dsl.interpreter import apply_program
+from repro.dsl.interpreter import apply_program, apply_with_target
 from repro.engine.compiled import CompiledProgram, compile_program
 from repro.patterns.parse import parse_pattern
 from repro.util.errors import SerializationError, TransformError, ValidationError
@@ -257,16 +257,23 @@ class TestPlanRangeValidation:
             CompiledProgram.loads(json_module.dumps(payload))
 
 
+def _reference_outputs(compiled, values):
+    """Outputs and matched patterns from the reference interpreter."""
+    outcomes = [
+        apply_with_target(compiled.program, compiled.target, value) for value in values
+    ]
+    return [o.output for o in outcomes], [o.pattern for o in outcomes]
+
+
 class TestMemoDispatch:
     def test_memoized_outcomes_match_naive(self, phone_session, phone_values):
         artifact = phone_session.compile().dumps()
         fast = CompiledProgram.loads(artifact)
-        naive = CompiledProgram.loads(artifact, memo_size=0, merged_dispatch=False)
         stream = list(phone_values) * 3 + ["nonsense", "nonsense"]
         fast_report = fast.run(stream)
-        naive_report = naive.run(stream)
-        assert fast_report.outputs == naive_report.outputs
-        assert fast_report.matched_pattern == naive_report.matched_pattern
+        assert (fast_report.outputs, fast_report.matched_pattern) == _reference_outputs(
+            fast, stream
+        )
         stats = fast.memo_stats()
         assert stats["hits"] > 0
         assert stats["hits"] + stats["misses"] == len(stream)
@@ -278,10 +285,9 @@ class TestMemoDispatch:
         # or the stats contract.
         artifact = phone_session.compile().dumps()
         fast = CompiledProgram.loads(artifact)
-        naive = CompiledProgram.loads(artifact, memo_size=0, merged_dispatch=False)
         stream = [f"({700 + i % 300}) {100 + i % 900}-{1000 + i}" for i in range(3000)]
         fast_report = fast.run(stream)
-        assert fast_report.outputs == naive.run(stream).outputs
+        assert fast_report.outputs == _reference_outputs(fast, stream)[0]
         stats = fast.memo_stats()
         assert stats["hits"] == 0
         assert stats["misses"] == len(stream)  # bypassed values still count
@@ -340,7 +346,7 @@ class TestMemoDispatch:
     def test_memo_excluded_from_equality_and_serialization(self, phone_session):
         artifact = phone_session.compile().dumps()
         default = CompiledProgram.loads(artifact)
-        tuned = CompiledProgram.loads(artifact, memo_size=7, merged_dispatch=False)
+        tuned = CompiledProgram.loads(artifact, memo_size=7)
         assert default == tuned
         assert hash(default) == hash(tuned)
         assert tuned.dumps() == default.dumps()
@@ -352,7 +358,7 @@ class TestMemoDispatch:
             CompiledProgram.loads(artifact, memo_size=bad)
 
 
-class TestMergedDispatch:
+class TestDispatchOrder:
     def _two_branch_program(self):
         return UniFiProgram(
             [
@@ -367,47 +373,27 @@ class TestMergedDispatch:
             ]
         )
 
-    def test_merged_regex_built_for_unguarded_branches(self):
-        compiled = CompiledProgram(
-            self._two_branch_program(), parse_pattern("<D>3'-'<D>4")
-        )
-        assert compiled.merged_dispatch
-        assert compiled.merged_prefix == 2
-
-    def test_merged_dispatch_can_be_disabled(self):
-        compiled = CompiledProgram(
-            self._two_branch_program(),
-            parse_pattern("<D>3'-'<D>4"),
-            merged_dispatch=False,
-        )
-        assert not compiled.merged_dispatch
-        assert compiled.merged_prefix == 0
-
-    def test_single_branch_stays_on_the_loop(self):
+    def test_single_branch(self):
         program = UniFiProgram(
             [Branch(parse_pattern("<D>3'.'<D>4"), AtomicPlan([Extract(1)]))]
         )
         compiled = CompiledProgram(program, parse_pattern("<D>3'-'<D>4"))
-        assert not compiled.merged_dispatch
         assert compiled.run_one("123.4567").output == "123"
 
-    def test_merged_outputs_match_naive_loop(self, phone_session, phone_values):
-        artifact = phone_session.compile().dumps()
-        merged = CompiledProgram.loads(artifact, memo_size=0)
-        naive = CompiledProgram.loads(artifact, memo_size=0, merged_dispatch=False)
+    def test_outputs_match_interpreter(self, phone_session, phone_values):
+        compiled = CompiledProgram.loads(phone_session.compile().dumps(), memo_size=0)
         probes = list(phone_values) + ["nope", "", "734.236.3466", "(734) 645-8397"]
         for value in probes:
-            fast = merged.run_one(value)
-            slow = naive.run_one(value)
-            assert (fast.output, fast.matched, fast.pattern) == (
-                slow.output,
-                slow.matched,
-                slow.pattern,
+            actual = compiled.run_one(value)
+            expected = apply_with_target(compiled.program, compiled.target, value)
+            assert (actual.output, actual.matched, actual.pattern) == (
+                expected.output,
+                expected.matched,
+                expected.pattern,
             ), value
 
     def test_first_match_wins_order_preserved(self):
-        # Both branches match "abc"; the merged alternation must pick
-        # the first, exactly like the sequential loop.
+        # Both branches match "abc"; dispatch must pick the first.
         pattern = parse_pattern("<L>+")
         program = UniFiProgram(
             [
@@ -416,11 +402,10 @@ class TestMergedDispatch:
             ]
         )
         compiled = CompiledProgram(program, parse_pattern("<U>+"))
-        assert compiled.merged_prefix == 2
         assert compiled.run_one("abc").output == "FIRST"
         assert compiled.run_one("abc").pattern is program.branches[0].pattern
 
-    def test_guard_in_front_disables_merging(self):
+    def test_guard_in_front_vetoes_per_value(self):
         pattern = parse_pattern("<L>+")
         program = UniFiProgram(
             [
@@ -434,12 +419,11 @@ class TestMergedDispatch:
             ]
         )
         compiled = CompiledProgram(program, parse_pattern("<U>+"))
-        assert not compiled.merged_dispatch
         assert compiled.run_one("picture").output == "PIC"
         assert compiled.run_one("words").output == "words"
         assert compiled.run_one("123").output == "NUM"
 
-    def test_unguarded_prefix_merges_guarded_tail_falls_back(self):
+    def test_unguarded_prefix_then_guarded_tail(self):
         program = UniFiProgram(
             [
                 Branch(parse_pattern("<D>+"), AtomicPlan([ConstStr("NUM")])),
@@ -453,16 +437,30 @@ class TestMergedDispatch:
             ]
         )
         compiled = CompiledProgram(program, parse_pattern("'#'"))
-        assert compiled.merged_prefix == 2
         assert compiled.run_one("123").output == "NUM"
         assert compiled.run_one("ABC").output == "CAPS"
         assert compiled.run_one("picture").output == "PIC"
         assert compiled.run_one("words").output == "words"
 
-    def test_merged_dispatch_with_multi_token_extracts(self):
+    def test_multi_token_extracts(self):
         compiled = CompiledProgram(
             self._two_branch_program(), parse_pattern("<D>3'-'<D>4")
         )
         assert compiled.run_one("555.0199").output == "555-0199"
         assert compiled.run_one("(734) 555-0199").output == "734-555-0199"
         assert not compiled.run_one("not a phone").matched
+
+    @pytest.mark.parametrize("value", ["555.0199\n", "555-0199\n"])
+    def test_trailing_newline_is_not_matched(self, value):
+        # re.match lets "$" match before a final "\n"; a value with one
+        # must neither pass through as target-conforming nor match a
+        # branch whose pattern never saw the newline.
+        compiled = CompiledProgram(
+            self._two_branch_program(), parse_pattern("<D>3'-'<D>4")
+        )
+        outcome = compiled.run_one(value)
+        assert (outcome.output, outcome.matched, outcome.pattern) == (value, False, None)
+        report = compiled.run([value])
+        assert (report.outputs, report.matched_pattern) == ([value], [None])
+        reference = apply_with_target(compiled.program, compiled.target, value)
+        assert (reference.output, reference.matched) == (value, False)

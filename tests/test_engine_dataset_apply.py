@@ -20,12 +20,16 @@ import pytest
 from repro.bench.phone import phone_dataset
 from repro.core.session import CLXSession
 from repro.dataset import Dataset, DatasetPart
+from repro.dsl.ast import AtomicPlan, Branch, ConstStr, Extract, UniFiProgram
+from repro.engine.compiled import CompiledProgram
+from repro.engine.executor import TransformEngine
 from repro.engine.parallel import (
     DEFAULT_APPLY_SHARD_BYTES,
     ShardedTableExecutor,
     apply_dataset,
     partition_output_name,
 )
+from repro.patterns.parse import parse_pattern
 from repro.util.errors import CLXError, ValidationError
 
 
@@ -429,6 +433,36 @@ class TestEngineAndSessionApplyDataset:
         ]
         assert [row["phone_transformed"] for row in decoded] == [
             phone_engine.run_one(value).output for value in values
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quoted_trailing_newline_cells_stay_unchanged_and_flagged(
+        self, tmp_path, workers
+    ):
+        # A quoted CSV cell can end in "\n"; neither the branch nor the
+        # target pattern covers it, so the cell must pass through
+        # unchanged and be flagged rather than silently lose its newline.
+        program = UniFiProgram(
+            [
+                Branch(
+                    parse_pattern("<D>3'.'<D>4"),
+                    AtomicPlan([Extract(1), ConstStr("-"), Extract(3)]),
+                )
+            ]
+        )
+        engine = TransformEngine(CompiledProgram(program, parse_pattern("<D>3'-'<D>4")))
+        values = ["555.0199\n", "555-0199\n", "555.0199"]
+        source = _write_csv(tmp_path / "cells.csv", ["phone"], [[v] for v in values])
+        destination = tmp_path / "out.csv"
+        result = engine.apply_dataset(source, "phone", output=destination, workers=workers)
+        assert result.flagged == 2
+        with destination.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [
+            ["phone", "phone_transformed"],
+            ["555.0199\n", "555.0199\n"],
+            ["555-0199\n", "555-0199\n"],
+            ["555.0199", "555-0199"],
         ]
 
     def test_engine_apply_dataset_resolves_specs_and_indexes(

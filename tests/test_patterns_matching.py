@@ -21,6 +21,7 @@ class TestMatchPattern:
         assert match_pattern("12", pattern) is None
         assert match_pattern("1234", pattern) is None
         assert match_pattern("abc", pattern) is None
+        assert match_pattern("123\n", pattern) is None  # "$" alone admits a final "\n"
 
     def test_plus_tokens_capture_full_runs(self):
         pattern = parse_pattern("<U>+'-'<D>+")

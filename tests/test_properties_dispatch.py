@@ -1,12 +1,14 @@
-"""Differential property suite for the memoized, merged-regex hot loop.
+"""Differential property suite for the memoized dispatch hot loop.
 
-The claim under test: the optimized dispatch path — bounded-LRU value
-memo plus one merged alternation regex over the leading unguarded
-branches — is *outcome-identical* to the naive sequential branch loop.
-Same output string, same matched pattern, same sink bytes at any worker
-count.  The oracle is the same artifact reloaded with ``memo_size=0,
-merged_dispatch=False``, which recovers the pre-optimization loop
-exactly.
+The claim under test: :class:`CompiledProgram` — flattened plans,
+precompiled branch regexes, bounded-LRU value memo — is
+*outcome-identical* to the reference interpreter.  Same output string,
+same matched pattern, same sink bytes at any worker count.  The oracle
+is :func:`repro.dsl.interpreter.apply_with_target` on the artifact's
+own program and target: target pass-through via ``match_pattern``, then
+``apply_program``'s first-match-wins loop.  It shares only the
+per-branch regex with the engine, not its dispatch table, op
+flattening or memo.
 
 Coverage: all 47 benchmark-suite artifacts, their real task inputs,
 deterministic + seeded-random samples from every branch's input
@@ -25,6 +27,7 @@ import pytest
 from repro.analysis.lang import random_sample_string, sample_string
 from repro.bench.suite import benchmark_suite
 from repro.core.session import CLXSession
+from repro.dsl.interpreter import apply_with_target
 from repro.engine.compiled import CompiledProgram
 from repro.engine.executor import TransformEngine
 
@@ -46,12 +49,9 @@ def suite_artifacts():
     return artifacts
 
 
-def _dispatch_pair(compiled):
-    """(optimized, naive-oracle) rebuilt from the same wire artifact."""
-    artifact = compiled.dumps()
-    fast = CompiledProgram.loads(artifact)
-    naive = CompiledProgram.loads(artifact, memo_size=0, merged_dispatch=False)
-    return fast, naive
+def _reference(compiled, value):
+    """The interpreter's outcome for ``value`` under ``compiled``'s artifact."""
+    return apply_with_target(compiled.program, compiled.target, value)
 
 
 def _mutate(value, rng):
@@ -85,9 +85,9 @@ class TestOutcomeIdentity:
     def test_all_suite_artifacts_match_naive_loop(self, suite_artifacts, property_rng):
         checked = 0
         for task_id, (compiled, inputs) in suite_artifacts.items():
-            fast, naive = _dispatch_pair(compiled)
+            fast = CompiledProgram.loads(compiled.dumps())
             for value in _probe_values(compiled, inputs, property_rng):
-                expected = naive.run_one(value)
+                expected = _reference(fast, value)
                 actual = fast.run_one(value)
                 assert (actual.output, actual.matched, actual.pattern) == (
                     expected.output,
@@ -99,16 +99,18 @@ class TestOutcomeIdentity:
 
     def test_batch_run_matches_naive_loop(self, suite_artifacts, property_rng):
         for task_id, (compiled, inputs) in suite_artifacts.items():
-            fast, naive = _dispatch_pair(compiled)
+            fast = CompiledProgram.loads(compiled.dumps())
             stream = _probe_values(compiled, inputs, property_rng)
             # Heavy-hitter repetition: every value appears several times
             # in shuffled order, so memo hits dominate.
             stream = stream * 3
             property_rng.shuffle(stream)
             fast_report = fast.run(stream)
-            naive_report = naive.run(stream)
-            assert fast_report.outputs == naive_report.outputs, task_id
-            assert fast_report.matched_pattern == naive_report.matched_pattern, task_id
+            expected = [_reference(fast, value) for value in stream]
+            assert fast_report.outputs == [outcome.output for outcome in expected], task_id
+            assert fast_report.matched_pattern == [
+                outcome.pattern for outcome in expected
+            ], task_id
             stats = fast.memo_stats()
             assert stats["hits"] + stats["misses"] == len(stream), task_id
             assert stats["hits"] > 0, task_id
@@ -119,18 +121,20 @@ class TestOutcomeIdentity:
         task_id, (compiled, inputs) = next(iter(suite_artifacts.items()))
         artifact = compiled.dumps()
         tiny = CompiledProgram.loads(artifact, memo_size=2)
-        naive = CompiledProgram.loads(artifact, memo_size=0, merged_dispatch=False)
         stream = _probe_values(compiled, inputs, property_rng) * 4
         property_rng.shuffle(stream)
-        assert tiny.run(stream).outputs == naive.run(stream).outputs
+        assert tiny.run(stream).outputs == [
+            _reference(tiny, value).output for value in stream
+        ]
 
 
 class TestSinkByteIdentity:
-    """Optimized dispatch must not change a single sink byte.
+    """Dispatch must not change a single sink byte.
 
     One representative artifact applied over a heavy-hitter CSV through
-    the full dataset path: naive single-process oracle vs memo+merged at
-    several worker counts.
+    the full dataset path at several worker counts: the sink bytes are
+    identical at every count, and every sink cell and the flagged count
+    equal the reference interpreter's.
     """
 
     @pytest.fixture(scope="class")
@@ -139,38 +143,35 @@ class TestSinkByteIdentity:
         session = CLXSession(task.inputs)
         session.label_target(task.target_pattern())
         compiled = session.compile(metadata={"column": "value"})
-        artifact = compiled.dumps()
 
         root = tmp_path_factory.mktemp("dispatch-sink")
         source = root / "values.csv"
-        rng_values = list(task.inputs) * 8 + ["definitely-not-matching"] * 5
+        values = list(task.inputs) * 8 + ["definitely-not-matching"] * 5
         with source.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["value"])
-            for value in rng_values:
+            for value in values:
                 writer.writerow([value])
-        return artifact, source, root
-
-    def _apply_bytes(self, artifact, source, destination, **kwargs):
-        engine = TransformEngine.loads(artifact, **kwargs.pop("load_kwargs", {}))
-        engine.apply_dataset(source, "value", output=destination, **kwargs)
-        return destination.read_bytes()
+        return compiled, values, source, root
 
     def test_bytes_identical_at_any_worker_count(self, apply_case):
-        artifact, source, root = apply_case
-        oracle = self._apply_bytes(
-            artifact,
-            source,
-            root / "naive.csv",
-            load_kwargs={"memo_size": 0, "merged_dispatch": False},
-            workers=1,
-        )
+        compiled, values, source, root = apply_case
+        expected = [_reference(compiled, value) for value in values]
+        sinks = {}
         for workers in (1, 2, 3):
-            actual = self._apply_bytes(
-                artifact,
+            engine = TransformEngine.loads(compiled.dumps())
+            destination = root / f"out-{workers}.csv"
+            result = engine.apply_dataset(
                 source,
-                root / f"fast-{workers}.csv",
+                "value",
+                output=destination,
                 workers=workers,
                 chunk_size=7,  # tiny chunks: many tasks, many memo reuses
             )
-            assert actual == oracle, f"workers={workers}"
+            assert result.flagged == sum(not outcome.matched for outcome in expected)
+            sinks[workers] = destination.read_bytes()
+        assert sinks[2] == sinks[1] and sinks[3] == sinks[1]
+        with (root / "out-1.csv").open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["value", "value_transformed"]
+        assert rows[1:] == [[value, outcome.output] for value, outcome in zip(values, expected)]
