@@ -7,6 +7,12 @@ profiler materializes every value), while producing the exact same leaf
 patterns and counts.  The multi-process profile and apply rows live in
 ``test_perf_table.py``.
 
+The record-scanner row guards the layer under every CSV read: the
+compiled :func:`repro.util.csvio.record_open_after` must answer exactly
+as :func:`~repro.util.csvio.record_open_after_reference` (the
+character-loop specification) over a corpus of quoted lines, and at
+least twice as fast, as a median of three interleaved repeats.
+
 ``CLX_PERF_ROWS`` scales the workload down for smoke runs (CI runs the
 file with a small value so the scale path cannot rot); the memory
 assertion always applies.
@@ -14,7 +20,11 @@ assertion always applies.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
+import random
+import statistics
 import sys
 import time
 import tracemalloc
@@ -22,6 +32,7 @@ import tracemalloc
 from repro.bench.generators import phone_number_stream
 from repro.clustering.incremental import IncrementalProfiler
 from repro.clustering.profiler import PatternProfiler
+from repro.util.csvio import record_open_after, record_open_after_reference
 from repro.util.text import format_table
 
 #: Rows in the scale workloads; override with CLX_PERF_ROWS for smoke runs.
@@ -33,6 +44,15 @@ SMOKE = ROWS < FULL_ROWS
 #: prefix of the workload — the whole point is that peak memory does not
 #: depend on the row count, so the cap loses no generality.
 TRACED_ROWS = min(ROWS, 50_000)
+
+#: Rows in the record-scanner corpus: a speed ratio needs no more.
+SCANNER_ROWS = min(ROWS, 50_000)
+
+#: Timed repeats of each scanner; the speed-up gate takes their median.
+SCANNER_REPEATS = 3
+
+#: Minimum median speed-up of the compiled scanner over the reference.
+SCANNER_MIN_SPEEDUP = 2.0
 
 
 def _materialized_estimate(rows: int) -> float:
@@ -80,4 +100,66 @@ def test_perf_streaming_profile_bounded_memory():
     assert peak < estimate / 4, (
         f"streaming profile peaked at {peak / 1e6:.2f} MB, not clearly below the "
         f"{estimate / 1e6:.2f} MB a materialized column would need"
+    )
+
+
+#: Words the corpus notes are drawn from.
+_NOTE_WORDS = ("patient", "seen", "follow", "up", "billing", "code", "checked", "lab", "ok")
+
+
+def _quoted_line_corpus(rows: int) -> list:
+    """Physical lines of a 4-column CSV shaped like an exported records table.
+
+    Every line carries a quote (the quoted ``"Last, F."`` name); notes run
+    6-13 words with commas (so they are quoted too), some hold a quoted
+    word (``""`` escapes), and every 20th holds an embedded newline, so
+    some records span two physical lines.
+    """
+    rng = random.Random(79)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for index in range(rows):
+        words = rng.choices(_NOTE_WORDS, k=rng.randrange(6, 14))
+        for position in range(1, len(words), 4):
+            words[position] += ","
+        if index % 3 == 0:
+            words.insert(rng.randrange(len(words)), '"urgent"')
+        if index % 20 == 0:
+            words.insert(rng.randrange(1, len(words)), "\n")
+        name = f"{rng.choice(('Smith', 'Lee', 'Garcia'))}, {rng.choice('ABCJ')}."
+        writer.writerow([str(index), name, " ".join(words), f"CPT-{rng.randrange(10000, 99999)}"])
+    return buffer.getvalue().splitlines(keepends=True)
+
+
+def _scan(scanner, lines: list) -> tuple:
+    """Carry the open state over ``lines``: (answers, seconds)."""
+    answers = []
+    record_open = False
+    start = time.perf_counter()
+    for line in lines:
+        record_open = scanner(line, ",", record_open)
+        answers.append(record_open)
+    return answers, time.perf_counter() - start
+
+
+def test_perf_record_scanner():
+    lines = _quoted_line_corpus(SCANNER_ROWS)
+    speedups = []
+    for _ in range(SCANNER_REPEATS):
+        reference, reference_seconds = _scan(record_open_after_reference, lines)
+        compiled, compiled_seconds = _scan(record_open_after, lines)
+        assert compiled == reference
+        speedups.append(reference_seconds / compiled_seconds)
+        per_line = (reference_seconds / len(lines), compiled_seconds / len(lines))
+    speedup = statistics.median(speedups)
+    rows_table = [
+        ("physical lines", f"{len(lines)}", f"{sum(reference)} open after"),
+        ("reference (char loop)", f"{per_line[0] * 1e6:.2f} us/line", "last repeat"),
+        ("compiled scanner", f"{per_line[1] * 1e6:.2f} us/line", "last repeat"),
+        ("median speed-up", f"{speedup:.1f}x", f"of {SCANNER_REPEATS} repeats"),
+    ]
+    print("\n" + format_table(["record scanner", "value", "detail"], rows_table))
+    assert speedup >= SCANNER_MIN_SPEEDUP, (
+        f"compiled record scanner is only {speedup:.2f}x the reference loop "
+        f"(median of {speedups}); expected >= {SCANNER_MIN_SPEEDUP}x"
     )

@@ -111,6 +111,7 @@ from repro.util.errors import CLXError
 from repro.util.text import format_table
 from repro.util.validate import (
     validated_chunk_size,
+    validated_delimiter,
     validated_memo_size,
     validated_workers,
 )
@@ -1156,6 +1157,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand with a --delimiter option checks it here, so
+        # `transform` (plain csv.DictReader) refuses bad values as well.
+        if getattr(args, "delimiter", None) is not None:
+            validated_delimiter(args.delimiter, "--delimiter")
         return args.handler(args)
     except CLXError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -203,11 +203,20 @@ def encode_rows_csv(rows: List[List[str]], delimiter: str = ",") -> str:
 
     With ``lineterminator="\\n"`` the stdlib writer leaves a bare ``\\r``
     inside a cell unquoted — output the csv module itself then refuses
-    to parse back ("new-line character seen in unquoted field").  Rows
-    containing ``\\r`` therefore take a manual minimal-quoting path that
-    treats ``\\r`` like the line break it is; all other rows keep the
-    C writer's exact bytes.
+    to parse back ("new-line character seen in unquoted field").  The
+    whole chunk is encoded by one C-level ``writerows``; the text holds
+    a ``\\r`` only when some cell does (the delimiter is never ``\\r``),
+    and only then is the chunk re-encoded row by row, with rows
+    containing ``\\r`` taking a manual minimal-quoting path that treats
+    ``\\r`` like the line break it is.  All other rows keep the C
+    writer's exact bytes either way.
     """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    if "\r" not in text:
+        return text
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     for row in rows:

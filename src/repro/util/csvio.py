@@ -8,22 +8,35 @@ module only treats ``"`` as a quote when it opens a field, so a stray
 inch-mark in an unquoted cell (``6" nail``) is literal data, and exactly
 that kind of messy value is this project's bread and butter.
 
-:func:`record_open_after` walks a line with the same state machine the
-csv module applies (field-start quoting, ``""`` escapes, delimiter
-resets), carrying the open/closed state across lines of the same
-record.  :func:`iter_record_cut_points` lifts that state machine to
-whole files: one sequential quote-parity scan maps any set of byte
+:func:`record_open_after` answers it from two compiled regexes per
+delimiter (one for a line that starts a record, one for a line that
+continues an open quoted field), built once and cached at module level,
+so the per-line cost is one C-level ``fullmatch``.  The specification
+they implement is :func:`record_open_after_reference`: a per-character
+walk with the same state machine the csv module applies (field-start
+quoting, ``""`` escapes, delimiter resets), carrying the open/closed
+state across lines of the same record.  The differential tests hold
+the two to identical answers.  :func:`iter_record_cut_points` lifts
+the scanner to whole files: one sequential scan maps any set of byte
 targets to the nearest *record* boundaries at or past them (with the
 physical line number at each), which is what lets the shard planner
 (:mod:`repro.dataset.shards`) split files whose quoted fields contain
 embedded newlines.
+
+The scanner cache is also where a delimiter is validated
+(:func:`~repro.util.validate.validated_delimiter`): every CSV read
+consults it on the header line first, so a delimiter that is not one
+character, or is ``"``, ``\\r`` or ``\\n``, fails as a
+:class:`~repro.util.errors.ValidationError` before any parse.
 """
 
 from __future__ import annotations
 
-from typing import IO, Callable, Iterator, Optional, Sequence, Tuple, Union
+import re
+from typing import IO, Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.util.errors import ValidationError
+from repro.util.validate import validated_delimiter
 
 QUOTE = '"'
 _QUOTE_BYTE = b'"'
@@ -58,8 +71,50 @@ def resolve_column(header: Sequence[str], column: Union[str, int]) -> str:
     )
 
 
+#: A delimiter's ``(record start, continuation)`` line scanners.
+_Scanners = Tuple[re.Pattern[str], re.Pattern[str]]
+
+#: Scanners built so far, by delimiter.
+_SCANNERS: Dict[str, _Scanners] = {}
+
+
+def _compile_scanners(delimiter: str) -> _Scanners:
+    """Validate ``delimiter`` and build (and cache) its two line scanners.
+
+    A line *closes* its record exactly when it fullmatches the csv field
+    grammar, so a failed match means a quoted field is still open:
+
+    * a field may begin with line breaks (they do not end field start),
+      then is a quoted field — ``"``, then runs of non-quotes separated
+      by ``""`` escapes, a closing ``"`` not followed by another, and
+      literal text up to the next delimiter — or unquoted text that does
+      not start with a quote, or empty;
+    * a continuation line is already inside a quoted field, so it must
+      first close that field, then continue as ``(D FIELD)*``.
+
+    The quoted body is the unrolled ``[^"]*(?:""[^"]*)*``: each ``""``
+    pair is consumed whole and the closing quote's ``(?!")`` pins it to
+    the last quote of an odd run, so the grammar admits one parse and
+    a failing line backtracks in linear time.
+    """
+    validated_delimiter(delimiter)
+    d = re.escape(delimiter)
+    closed_body = f'[^"]*(?:""[^"]*)*"(?!")[^{d}]*'
+    field = rf'[\r\n]*(?:"{closed_body}|[^"{d}\r\n][^{d}]*)?'
+    rest = f"(?:{d}{field})*"
+    scanners = (re.compile(field + rest), re.compile(closed_body + rest))
+    _SCANNERS[delimiter] = scanners
+    return scanners
+
+
 def record_open_after(line: str, delimiter: str, open_before: bool = False) -> bool:
     """Whether a CSV record is still inside a quoted field after ``line``.
+
+    Answers from the delimiter's two cached compiled scanners (see
+    :func:`_compile_scanners`): a quote-free line keeps the state it
+    started in, and any other line is open unless it fullmatches the
+    csv field grammar for its entry state.  The answers are exactly
+    those of :func:`record_open_after_reference`, the specification.
 
     Args:
         line: One physical line, with or without its trailing newline.
@@ -70,6 +125,27 @@ def record_open_after(line: str, delimiter: str, open_before: bool = False) -> b
     Returns:
         ``True`` when the line ends inside a quoted field, i.e. the
         record continues on the next physical line.
+
+    Raises:
+        ValidationError: If ``delimiter`` is not a valid CSV delimiter.
+    """
+    start, continuation = _SCANNERS.get(delimiter) or _compile_scanners(delimiter)
+    if QUOTE not in line:
+        return open_before
+    scanner = continuation if open_before else start
+    return scanner.fullmatch(line) is None
+
+
+def record_open_after_reference(
+    line: str, delimiter: str, open_before: bool = False
+) -> bool:
+    """The specification of :func:`record_open_after`, as a character loop.
+
+    Walks ``line`` with the state machine the csv module applies: a
+    quote is only special at the start of a field, ``""`` inside a
+    quoted field is an escaped quote, a delimiter outside quotes starts
+    a new field, and line breaks at a field start leave it at field
+    start.  Only tests and the scanner's benchmark row call it.
     """
     in_quotes = open_before
     # A quote is only special at the start of a field; when resuming a
@@ -123,8 +199,8 @@ def iter_record_cut_points(
 
     Two scanning modes:
 
-    * ``csv_quoting=True`` — full csv record semantics.  The quote
-      state machine only runs on lines that *contain* a quote byte (or
+    * ``csv_quoting=True`` — full csv record semantics.  The record
+      scanner only runs on lines that *contain* a quote byte (or
       continue an open record); quote-free regions advance at
       ``readline`` speed.
     * ``csv_quoting=False`` — every physical line is a record (JSON

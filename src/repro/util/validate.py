@@ -13,6 +13,10 @@ exception: the table APIs (``transform_table`` /
 ``apply_table``) treat ``workers=None`` as the in-process single pass
 for backward compatibility, and only route explicit values through
 this check.
+
+:func:`validated_delimiter` guards the one CSV knob every read and
+write path shares; :mod:`repro.util.csvio` runs it when it first builds
+a delimiter's record scanners, and the CLI runs it on ``--delimiter``.
 """
 
 from __future__ import annotations
@@ -65,3 +69,19 @@ def validated_memo_size(memo_size: int, name: str = "memo_size") -> int:
     if memo_size < 0:
         raise ValidationError(f"{name} must be >= 0, got {memo_size}")
     return memo_size
+
+
+def validated_delimiter(delimiter: str, name: str = "delimiter") -> str:
+    """Validate a CSV delimiter: exactly one character, not a quote or line break.
+
+    The csv module itself rejects a multi-character delimiter only with a
+    raw ``TypeError``, and silently misparses with ``"`` (the quote
+    character) or a line break, so every CSV path checks here first.
+    """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValidationError(f"{name} must be a single character, got {delimiter!r}")
+    if delimiter in '"\r\n':
+        raise ValidationError(
+            f"{name} cannot be {delimiter!r}: it is the CSV quote character or a line break"
+        )
+    return delimiter

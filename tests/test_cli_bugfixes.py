@@ -210,6 +210,49 @@ class TestApplyWorkers:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestBadDelimiter:
+    """A bad ``--delimiter`` exits 2 naming the flag, on every subcommand.
+
+    Before the check, ``;;`` or an empty value died in the csv module
+    with a raw ``TypeError`` traceback, and ``"`` silently misparsed the
+    header into a misleading "column not found" error.
+    """
+
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n", "\r"])
+    def test_profile_rejects_bad_delimiter(self, phone_csv, delimiter, capsys):
+        code = main(["profile", str(phone_csv), "--column", "phone", "--delimiter", delimiter])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--delimiter" in err
+        assert "not found" not in err
+
+    @pytest.mark.parametrize("delimiter", [";;", '"'])
+    def test_transform_rejects_bad_delimiter(self, phone_csv, tmp_path, delimiter, capsys):
+        code = main(
+            [
+                "transform", str(phone_csv), "--column", "phone",
+                "--target-pattern", "<D>3'-'<D>3'-'<D>4",
+                "--output", str(tmp_path / "out.csv"), "--delimiter", delimiter,
+            ]
+        )
+        assert code == 2
+        assert "--delimiter" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("delimiter", [";;", '"'])
+    def test_apply_rejects_bad_delimiter(self, artifact, phone_csv, delimiter, capsys):
+        code = main(["apply", str(artifact), str(phone_csv), "--delimiter", delimiter])
+        assert code == 2
+        assert "--delimiter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delimiter", [";;", '"'])
+    def test_library_header_scan_rejects_bad_delimiter(self, phone_csv, delimiter):
+        from repro.dataset.readers import read_csv_header
+
+        with pytest.raises(ValidationError, match="delimiter"):
+            read_csv_header(phone_csv, delimiter)
+
+
 class TestDispatchKnobs:
     """CLI contract for the hot-loop dispatch knobs.
 

@@ -9,7 +9,7 @@ from repro.util.rand import DEFAULT_SEED, digits, letters, make_rng, weighted_ch
 from repro.util.sinks import AtomicSink
 from repro.util.text import common_prefix_length, format_table, truncate
 from repro.util.timing import Stopwatch
-from repro.util.validate import validated_memo_size
+from repro.util.validate import validated_delimiter, validated_memo_size
 
 
 class TestErrors:
@@ -106,6 +106,15 @@ class TestValidators:
     def test_memo_size_rejects_bad_values(self, bad):
         with pytest.raises(ValidationError, match="--memo-size"):
             validated_memo_size(bad, "--memo-size")
+
+    @pytest.mark.parametrize("good", [",", ";", "\t", "|", " ", "§"])
+    def test_delimiter_accepts_one_character(self, good):
+        assert validated_delimiter(good) == good
+
+    @pytest.mark.parametrize("bad", ["", ";;", '"', "\r", "\n", None, 44])
+    def test_delimiter_rejects_bad_values(self, bad):
+        with pytest.raises(ValidationError, match="--delimiter"):
+            validated_delimiter(bad, "--delimiter")
 
 
 class TestAtomicSink:
