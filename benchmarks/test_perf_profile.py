@@ -13,6 +13,15 @@ as :func:`~repro.util.csvio.record_open_after_reference` (the
 character-loop specification) over a corpus of quoted lines, and at
 least twice as fast, as a median of three interleaved repeats.
 
+The repeated-values row guards the profiler's value memo: on a
+heavy-hitter stream (~2k distinct values, Zipf row counts) one
+:meth:`~repro.clustering.incremental.ColumnProfile.observe_all` pass
+must produce the same fingerprint as the per-value
+:meth:`~repro.clustering.incremental.ColumnProfile.observe` loop and be
+at least 1.2x faster, as a median of three interleaved repeats.  The
+same ratio on a stream of distinct phone numbers is printed, not gated:
+there the memo only costs.
+
 ``CLX_PERF_ROWS`` scales the workload down for smoke runs (CI runs the
 file with a small value so the scale path cannot rot); the memory
 assertion always applies.
@@ -30,7 +39,7 @@ import time
 import tracemalloc
 
 from repro.bench.generators import phone_number_stream
-from repro.clustering.incremental import IncrementalProfiler
+from repro.clustering.incremental import ColumnProfile, IncrementalProfiler
 from repro.clustering.profiler import PatternProfiler
 from repro.util.csvio import record_open_after, record_open_after_reference
 from repro.util.text import format_table
@@ -53,6 +62,18 @@ SCANNER_REPEATS = 3
 
 #: Minimum median speed-up of the compiled scanner over the reference.
 SCANNER_MIN_SPEEDUP = 2.0
+
+#: Distinct values in the heavy-hitter stream of the repeated-values row.
+HEAVY_HITTER_POOL = 2_000
+
+#: Rows of the distinct-values stream the repeated-values row prints.
+DISTINCT_ROWS = min(ROWS, 20_000)
+
+#: Timed repeats of each profile path; the speed-up gate takes their median.
+PROFILE_REPEATS = 3
+
+#: Minimum median speed-up of ``observe_all`` over the per-value loop.
+REPEATED_MIN_SPEEDUP = 1.2
 
 
 def _materialized_estimate(rows: int) -> float:
@@ -162,4 +183,69 @@ def test_perf_record_scanner():
     assert speedup >= SCANNER_MIN_SPEEDUP, (
         f"compiled record scanner is only {speedup:.2f}x the reference loop "
         f"(median of {speedups}); expected >= {SCANNER_MIN_SPEEDUP}x"
+    )
+
+
+def _heavy_hitter_stream(rows: int) -> list:
+    """``rows`` draws with Zipf(1.1) counts from ~2k distinct phone numbers."""
+    pool = list(phone_number_stream(HEAVY_HITTER_POOL, seed=83))
+    weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(pool))]
+    return random.Random(84).choices(pool, weights=weights, k=rows)
+
+
+def _observe_each(values: list) -> ColumnProfile:
+    """The per-value reference: one :meth:`ColumnProfile.observe` per row."""
+    profile = ColumnProfile()
+    for value in values:
+        profile.observe(value)
+    return profile
+
+
+def _profile_speedups(values: list) -> tuple:
+    """(speed-ups of ``observe_all`` over the per-value loop, last seconds pair)."""
+    speedups = []
+    for _ in range(PROFILE_REPEATS):
+        start = time.perf_counter()
+        reference = _observe_each(values)
+        reference_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        profile = IncrementalProfiler().profile(values)
+        memo_seconds = time.perf_counter() - start
+        assert profile.fingerprint() == reference.fingerprint()
+        speedups.append(reference_seconds / memo_seconds)
+    return speedups, (reference_seconds, memo_seconds)
+
+
+def test_perf_profile_repeated_values():
+    repeated = _heavy_hitter_stream(ROWS)
+    distinct = list(phone_number_stream(DISTINCT_ROWS, seed=85))
+    repeated_speedups, repeated_seconds = _profile_speedups(repeated)
+    distinct_speedups, distinct_seconds = _profile_speedups(distinct)
+    speedup = statistics.median(repeated_speedups)
+    rows_table = [
+        (
+            "heavy hitters",
+            f"{len(repeated)} rows, {len(set(repeated))} distinct",
+            f"{repeated_seconds[0]:.2f} s",
+            f"{repeated_seconds[1]:.2f} s",
+            f"{speedup:.1f}x",
+        ),
+        (
+            "distinct phones",
+            f"{len(distinct)} rows, {len(set(distinct))} distinct",
+            f"{distinct_seconds[0]:.2f} s",
+            f"{distinct_seconds[1]:.2f} s",
+            f"{statistics.median(distinct_speedups):.2f}x",
+        ),
+    ]
+    print(
+        "\n"
+        + format_table(
+            ["profile stream", "values", "observe loop", "observe_all", "median speed-up"],
+            rows_table,
+        )
+    )
+    assert speedup >= REPEATED_MIN_SPEEDUP, (
+        f"observe_all is only {speedup:.2f}x the per-value observe loop on repeated "
+        f"values (median of {repeated_speedups}); expected >= {REPEATED_MIN_SPEEDUP}x"
     )

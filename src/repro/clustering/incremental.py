@@ -19,6 +19,18 @@ memory.  Per distinct leaf tokenization it keeps
   disagrees — which makes constant-token promotion at the profiler's
   default dominance threshold of 1.0 exact without storing values.
 
+A repeated value costs one dict lookup.  :meth:`ColumnProfile.observe_all`
+keeps a call-local memo from ``str(value)`` to the value's leaf
+accumulator, so a value already folded in the same call only bumps the
+leaf's row count: tokenization, ``Pattern`` hashing and the constant
+tracker are skipped.  That is exact, because re-observing a value the
+profile already holds changes nothing but the count — its exemplar is
+already in the reservoir or the reservoir was full, and every surviving
+tracker piece already equals that value's piece.  The memo holds at most
+:data:`VALUE_MEMO_SIZE` values and is cleared when full, so memory stays
+bounded on a column of distinct values; it is never part of the profile
+state (not pickled, merged, copied or fingerprinted).
+
 The accumulated state is a :class:`ColumnProfile`.  Profiles built over
 different shards of the same column **merge** (:meth:`ColumnProfile.merge`,
 associative and commutative on counts and patterns), so a column can be
@@ -48,6 +60,12 @@ from repro.util.errors import ValidationError
 #: Previews show at most 3, so a small reservoir is plenty; it only
 #: bounds *samples*, never counts or patterns.
 DEFAULT_EXEMPLAR_CAP = 8
+
+#: Distinct values one :meth:`ColumnProfile.observe_all` call remembers
+#: before it clears its value memo.  Large enough to hold the heavy
+#: hitters of a real column, small enough that a column of distinct
+#: values keeps the profile's memory flat.
+VALUE_MEMO_SIZE = 1024
 
 
 @dataclass
@@ -244,22 +262,45 @@ class ColumnProfile:
     # ------------------------------------------------------------------
     # Accumulation
     # ------------------------------------------------------------------
-    def observe(self, value: str) -> None:
-        """Fold one raw value into the profile."""
-        value = str(value)
-        tokens = tokenize(value)
-        pattern = Pattern(tokens)
+    def _fold(self, value: str) -> _LeafAccumulator:
+        """Tokenize ``value`` and add it to its leaf; returns the leaf.
+
+        The caller counts the row.
+        """
+        pattern = Pattern(tokenize(value))
         accumulator = self._clusters.get(pattern)
         if accumulator is None:
             accumulator = _LeafAccumulator(pattern, track_constants=self._discover_constants)
             self._clusters[pattern] = accumulator
         accumulator.add(value, self._exemplar_cap)
+        return accumulator
+
+    def observe(self, value: str) -> None:
+        """Fold one raw value into the profile."""
+        self._fold(str(value))
         self._row_count += 1
 
     def observe_all(self, values: Iterable[str]) -> "ColumnProfile":
-        """Fold every value of ``values`` into the profile; returns self."""
+        """Fold every value of ``values`` into the profile; returns self.
+
+        The result is exactly that of calling :meth:`observe` on each
+        value, but a value already folded earlier in this call costs one
+        dict lookup and a count increment.  The memo is keyed by
+        ``str(value)`` — ``1``, ``True`` and ``1.0`` hash equal but
+        tokenize differently — holds at most :data:`VALUE_MEMO_SIZE`
+        values, is cleared when full, and lives only for this call.
+        """
+        memo: Dict[str, _LeafAccumulator] = {}
         for value in values:
-            self.observe(value)
+            value = str(value)
+            accumulator = memo.get(value)
+            if accumulator is None:
+                if len(memo) >= VALUE_MEMO_SIZE:
+                    memo.clear()
+                memo[value] = self._fold(value)
+            else:
+                accumulator.count += 1
+            self._row_count += 1
         return self
 
     # ------------------------------------------------------------------

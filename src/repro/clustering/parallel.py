@@ -98,15 +98,17 @@ def _profile_shard(task: ShardTask) -> ColumnProfile:
     )
     if backend.csv_quoting:
         assert isinstance(column, int)
-        for row in csv.reader(lines, delimiter=delimiter):
-            if row:  # blank lines are skipped, as csv.DictReader skips them
-                profile.observe(row[column] if column < len(row) else "")
-        return profile
+        return profile.observe_all(
+            row[column] if column < len(row) else ""
+            for row in csv.reader(lines, delimiter=delimiter)
+            if row  # blank lines are skipped, as csv.DictReader skips them
+        )
     assert isinstance(column, str)
-    for number, line in enumerate(lines, start=shard.first_line):
-        if line.strip():
-            profile.observe(jsonl_value(parse_jsonl_row(line, shard.locator, number), column))
-    return profile
+    return profile.observe_all(
+        jsonl_value(parse_jsonl_row(line, shard.locator, number), column)
+        for number, line in enumerate(lines, start=shard.first_line)
+        if line.strip()
+    )
 
 
 @dataclass

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.bench.generators import addresses, human_names, medical_codes
 from repro.bench.phone import phone_dataset
+from repro.clustering import incremental
 from repro.clustering.incremental import (
+    VALUE_MEMO_SIZE,
     ColumnProfile,
     IncrementalProfiler,
     SampledCluster,
@@ -208,3 +212,103 @@ class TestFromProfile:
         empty = IncrementalProfiler(allow_empty=True).profile(iter([]))
         with pytest.raises(ValidationError):
             CLXSession.from_profile(empty)
+
+
+def _observed_one_by_one(values, **config):
+    """The reference: a per-value :meth:`ColumnProfile.observe` loop."""
+    profile = ColumnProfile(**config)
+    for value in values:
+        profile.observe(value)
+    return profile
+
+
+def _profile_state(profile):
+    """Everything observable about a profile, exemplar order included."""
+    return (
+        profile.row_count,
+        profile.leaf_counts(),
+        profile.fingerprint(),
+        {pattern: list(acc.exemplars) for pattern, acc in profile._clusters.items()},
+    )
+
+
+def _zipf_stream(rng, pool, rows):
+    weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(pool))]
+    return rng.choices(pool, weights=weights, k=rows)
+
+
+class TestValueMemo:
+    """``observe_all`` (value memo) must equal the per-value ``observe`` loop."""
+
+    def _assert_same_as_reference(self, values, **config):
+        fast = ColumnProfile(**config).observe_all(iter(values))
+        reference = _observed_one_by_one(values, **config)
+        assert _profile_state(fast) == _profile_state(reference)
+        assert _layer_signature(fast.to_hierarchy()) == _layer_signature(
+            reference.to_hierarchy()
+        )
+
+    def test_zipf_repeats(self):
+        rng = random.Random(41)
+        pool = phone_dataset(200, 6, seed=41)[0] + human_names(60, seed=41)[0]
+        self._assert_same_as_reference(_zipf_stream(rng, pool, 5_000))
+
+    def test_stream_crossing_a_memo_clear(self):
+        # More distinct values than the memo holds, then repeats of the
+        # earliest ones: the memo has been cleared by the time they recur.
+        distinct = [f"id-{index:05d}" for index in range(VALUE_MEMO_SIZE + 300)]
+        rng = random.Random(42)
+        values = distinct + distinct[:50] * 3 + _zipf_stream(rng, distinct, 3_000)
+        self._assert_same_as_reference(values, exemplar_cap=4)
+
+    def test_repeats_after_a_full_reservoir(self):
+        rng = random.Random(43)
+        pool = [f"x{index:03d}" for index in range(40)]
+        values = ["x007", "x001", "x007"] + _zipf_stream(rng, pool, 800)
+        self._assert_same_as_reference(values, exemplar_cap=1)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["Mr Smith", "Dr Smith", "Mr Smith"] * 3,
+            ["Mr Smith", "Mr Jones", "Mr Smith", "Mr Smith"],
+            ["AB-1", "AB-2", "CD-1", "AB-1", "CD-1"],
+        ],
+    )
+    def test_constant_demotion(self, values):
+        self._assert_same_as_reference(values)
+
+    def test_empty_strings(self):
+        self._assert_same_as_reference(["", "a", "", "", "a1", "", "a"])
+
+    def test_values_that_hash_equal_but_render_differently(self):
+        # 1, True and 1.0 are equal dict keys, yet "1", "True" and "1.0"
+        # tokenize into three different leaves.
+        self._assert_same_as_reference([1, True, 1.0, "1", "True"])
+
+    def test_tokenizes_each_distinct_value_once(self, monkeypatch):
+        calls = []
+        real_tokenize = incremental.tokenize
+
+        def counting_tokenize(value):
+            calls.append(value)
+            return real_tokenize(value)
+
+        # Patched as the module global, the way a tracer wraps it.
+        monkeypatch.setattr(incremental, "tokenize", counting_tokenize)
+        pool = [f"code-{index}" for index in range(VALUE_MEMO_SIZE // 2)]
+        values = _zipf_stream(random.Random(44), pool, 10_000)
+        profile = IncrementalProfiler().profile(values)
+        assert profile.row_count == len(values)
+        assert sorted(calls) == sorted(set(values))
+
+    def test_memo_is_not_profile_state(self):
+        fast = ColumnProfile().observe_all(["a1", "a1", "b2"])
+        assert set(vars(fast)) == set(vars(ColumnProfile()))
+
+    def test_memo_lives_for_one_call(self):
+        profile = ColumnProfile()
+        profile.observe_all(["Mr Smith", "Mr Smith"])
+        profile.observe_all(["Dr Smith", "Mr Smith"])
+        reference = _observed_one_by_one(["Mr Smith", "Mr Smith", "Dr Smith", "Mr Smith"])
+        assert _profile_state(profile) == _profile_state(reference)

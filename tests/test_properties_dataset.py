@@ -6,6 +6,11 @@ N, any split points, CSV and JSONL mixed, any worker count) lowers to a
 hierarchy identical to profiling the concatenated column in one serial
 pass.
 
+The repeat-heavy property checks the profile against an independent
+reference — a per-value :meth:`ColumnProfile.observe` loop — rather than
+against :class:`IncrementalProfiler`, whose ``observe_all`` fast path
+(a value memo) is what the parallel workers run too.
+
 The generators are randomized over the bench corpora through the shared
 ``property_rng`` fixture — the seed is fixed by default and printed for
 every test, so a failing draw replays with
@@ -24,7 +29,7 @@ from repro.bench.generators import (
     medical_codes,
     phone_numbers,
 )
-from repro.clustering.incremental import IncrementalProfiler
+from repro.clustering.incremental import ColumnProfile, IncrementalProfiler
 from repro.clustering.parallel import ParallelProfiler
 from repro.dataset import Dataset
 
@@ -49,6 +54,21 @@ def _random_column(rng):
     ]
     make = rng.choice(generators)
     return make(rng.randrange(1_000_000), rng.randint(40, 400))
+
+
+def _repeat_heavy_column(rng):
+    """Zipf draws from a small pool of one bench-corpus column."""
+    pool = list(dict.fromkeys(_random_column(rng)))[: rng.randint(3, 40)]
+    weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(pool))]
+    return rng.choices(pool, weights=weights, k=rng.randint(300, 1_500))
+
+
+def _observed_one_by_one(column):
+    """The reference profile: one :meth:`ColumnProfile.observe` per value."""
+    profile = ColumnProfile()
+    for value in column:
+        profile.observe(value)
+    return profile
 
 
 def _random_split(rng, column):
@@ -138,3 +158,24 @@ class TestPartitionedEquivalence:
             assert profile.fingerprint() == expected, (
                 f"seed={rng.seed_value} round={round_index}"
             )
+
+    def test_repeat_heavy_column_matches_per_value_reference(self, property_rng, tmp_path):
+        rng = property_rng
+        for round_index in range(ROUNDS):
+            column = _repeat_heavy_column(rng)
+            chunks = _random_split(rng, column)
+            scratch = tmp_path / f"round-{round_index}"
+            scratch.mkdir()
+            dataset = _write_parts(scratch, rng, chunks, mixed=True)
+            reference = _observed_one_by_one(column)
+            expected = (_hierarchy_signature(reference), reference.fingerprint())
+            for workers in WORKER_COUNTS:
+                profile = ParallelProfiler(workers=workers).profile_dataset(
+                    dataset, "phone"
+                )
+                context = (
+                    f"seed={rng.seed_value} round={round_index} workers={workers} "
+                    f"distinct={len(set(column))} rows={len(column)}"
+                )
+                assert profile.row_count == len(column), context
+                assert (_hierarchy_signature(profile), profile.fingerprint()) == expected, context
