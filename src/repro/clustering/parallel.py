@@ -21,20 +21,23 @@ Two shard sources are supported:
   record-aligned shards by the planner apply uses
   (:func:`~repro.dataset.shards.plan_part`): byte ranges for CSV/JSONL,
   so a quoted field with an embedded newline is never split, and
-  row-group ranges for Parquet/Arrow.  Each worker reads and parses its
-  own shard; the parent reads nothing but headers.
+  row-group ranges for Parquet/Arrow.  Each worker reads its own shard
+  through :meth:`~repro.dataset.backends.base.Backend.iter_shard_values`;
+  the parent reads nothing but headers.
 
 Both drain through :class:`~repro.util.pools.ResilientPool`, the pool
 apply uses, so a worker that dies mid-shard raises
 :class:`~repro.util.errors.CLXError` naming the file and byte range
 instead of hanging the parent, and a non-UTF-8 byte names its file,
-physical line, and absolute byte offset.  With one worker every entry
-point degrades to the serial profiler in process — no pool is spawned.
+physical line, and absolute byte offset.  With one worker no pool is
+spawned: a dataset is profiled in process in one pass over
+:meth:`~repro.dataset.dataset.Dataset.iter_values`, which reads every
+part as one whole-part shard through the same ``iter_shard_values`` —
+so serial and parallel profiles read with one reader.
 """
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,9 +47,7 @@ from repro.clustering.hierarchy import PatternHierarchy
 from repro.clustering.incremental import ColumnProfile, IncrementalProfiler
 from repro.dataset.backends import backend_by_name
 from repro.dataset.dataset import Dataset, DatasetPart
-from repro.dataset.readers import jsonl_value, parse_jsonl_row
 from repro.dataset.shards import DEFAULT_APPLY_SHARD_BYTES, Shard, plan_part
-from repro.util.csvio import resolve_column
 from repro.util.errors import ValidationError
 from repro.util.faults import maybe_fire
 from repro.util.pools import FaultPolicy, ResilientPool, chunked
@@ -79,35 +80,18 @@ def _profile_chunk(values: List[str]) -> ColumnProfile:
 def _profile_shard(task: ShardTask) -> ColumnProfile:
     """Read one planned shard and profile its column in a worker.
 
-    A CSV row shorter than the header contributes ``""`` and surplus
-    cells are ignored; a JSONL value is looked up by key (missing or
-    ``null`` is ``""``) — the same rules as the serial
-    :meth:`~repro.dataset.dataset.Dataset.iter_values` pass.
+    The values come from the backend's
+    :meth:`~repro.dataset.backends.base.Backend.iter_shard_values`, the
+    reader the serial :meth:`~repro.dataset.dataset.Dataset.iter_values`
+    pass uses too, so both apply the same missing-column rules.
     """
     assert _WORKER_PROFILER is not None, "worker used before initialization"
     shard, column, delimiter = task
     maybe_fire("worker.shard", key=f"{shard.locator}:{shard.start}")
-    profile = _WORKER_PROFILER.new_profile()
-    backend = backend_by_name(shard.format)
-    if not backend.line_records:
-        return profile.observe_all(
-            backend.iter_shard_values(shard.locator, shard.start, shard.end, column)
+    return _WORKER_PROFILER.new_profile().observe_all(
+        backend_by_name(shard.format).iter_shard_values(
+            shard.locator, shard.start, shard.end, column, delimiter, shard.first_line
         )
-    lines = backend.read_shard_lines(
-        shard.locator, shard.start, shard.end, first_line=shard.first_line
-    )
-    if backend.csv_quoting:
-        assert isinstance(column, int)
-        return profile.observe_all(
-            row[column] if column < len(row) else ""
-            for row in csv.reader(lines, delimiter=delimiter)
-            if row  # blank lines are skipped, as csv.DictReader skips them
-        )
-    assert isinstance(column, str)
-    return profile.observe_all(
-        jsonl_value(parse_jsonl_row(line, shard.locator, number), column)
-        for number, line in enumerate(lines, start=shard.first_line)
-        if line.strip()
     )
 
 
@@ -244,11 +228,9 @@ class ParallelProfiler:
         dataset: Dataset, column: Union[str, int], delimiter: str, shard_bytes: int
     ) -> Iterator[Tuple[Shard, ShardTask]]:
         for part in dataset.parts:
-            header, shards = plan_part(part, shard_bytes, delimiter)
-            part_column = column
-            if header is not None:
-                part_column = header.index(resolve_column(header, column))
-            for shard in shards:
+            plan = plan_part(part, shard_bytes, delimiter)
+            part_column = plan.reader_column(column)
+            for shard in plan.shards:
                 yield shard, (shard, part_column, delimiter)
 
     def _build_pool(self) -> ProcessPoolExecutor:

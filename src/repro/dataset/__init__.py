@@ -9,11 +9,12 @@ the pipeline builds on:
   globs, and directories into an ordered list of
   :class:`~repro.dataset.dataset.DatasetPart` entries (stable sorted
   ordering, format inferred per file, per-file schema checks);
-* :mod:`repro.dataset.readers` streams column values out of each part
-  (CSV or JSON Lines) with the same missing-column semantics as the
-  shard profiling path;
 * :mod:`repro.dataset.shards` cuts each part into record-aligned shards
-  for the parallel profile and apply paths.
+  for profile and apply, and every column value is read out of a shard
+  by one :meth:`~repro.dataset.backends.base.Backend.iter_shard_values`
+  per format — a serial pass reads each part as one whole-part shard;
+* :mod:`repro.dataset.readers` holds the header scan and the JSONL row
+  rules those readers share.
 
 On top of it, :meth:`ParallelProfiler.profile_dataset
 <repro.clustering.parallel.ParallelProfiler.profile_dataset>` profiles
@@ -24,12 +25,11 @@ directly (``apply --output-dir`` preserves partition names).
 """
 
 from repro.dataset.dataset import Dataset, DatasetPart, resolve_dataset
-from repro.dataset.readers import iter_part_values, read_csv_header
+from repro.dataset.readers import read_csv_header
 
 __all__ = [
     "Dataset",
     "DatasetPart",
-    "iter_part_values",
     "read_csv_header",
     "resolve_dataset",
 ]

@@ -1,8 +1,9 @@
 """The IO backend protocol and the extension/scheme-keyed registry.
 
 A :class:`Backend` packages everything the pipeline needs to speak one
-partition format — schema discovery, value streaming, shard planning,
-the worker-side raw-chunk parse, and the sink-side chunk encoding — so
+partition format — schema discovery, shard planning, the one column
+reader profiling uses, the worker-side raw-chunk parse, and the
+sink-side chunk encoding — so
 :class:`~repro.engine.parallel.ShardedTableExecutor`,
 :class:`~repro.clustering.parallel.ParallelProfiler`, and
 :func:`~repro.engine.parallel.apply_dataset` dispatch through the
@@ -113,7 +114,7 @@ class Backend(abc.ABC):
         return True
 
     # ------------------------------------------------------------------
-    # Schema discovery and value streaming (resolution side)
+    # Schema discovery (resolution side)
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def field_order(
@@ -140,12 +141,6 @@ class Backend(abc.ABC):
         self, part: "DatasetPart", column: Union[str, int], delimiter: str
     ) -> None:
         """Verify the part can supply ``column``, naming it on failure."""
-
-    @abc.abstractmethod
-    def iter_values(
-        self, part: "DatasetPart", column: Union[str, int], delimiter: str
-    ) -> Iterator[str]:
-        """Stream one column of the part, ``""`` for rows missing it."""
 
     # ------------------------------------------------------------------
     # Apply input: shard geometry and the worker wire
@@ -203,13 +198,23 @@ class Backend(abc.ABC):
         """
 
     # ------------------------------------------------------------------
-    # Profiling input (byte-range / row-group shard values)
+    # Profiling input: the one column reader
     # ------------------------------------------------------------------
+    @abc.abstractmethod
     def iter_shard_values(
-        self, locator: str, start: int, end: int, column: Union[str, int]
+        self, locator: str, start: int, end: Optional[int], column: Union[str, int],
+        delimiter: str, first_line: int,
     ) -> Iterator[str]:
-        """One column's values out of a rowgroup shard (profiling side)."""
-        raise CLXError(f"{self.name} partitions profile via line shards")
+        """One column's values out of the planned shard ``[start, end)``.
+
+        The only value reader: profiling reads through it at any worker
+        count, a serial pass taking each part as one whole-part shard.
+        ``column`` is a header index for CSV (a short row gives
+        ``""``, surplus cells are ignored) and a name otherwise (a
+        missing key or ``null`` gives ``""``).  Blank lines are skipped,
+        ``end=None`` reads to the end of the part, and ``first_line``
+        numbers the line at ``start`` in error messages.
+        """
 
     # ------------------------------------------------------------------
     # Sink side

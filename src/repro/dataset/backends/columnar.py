@@ -208,20 +208,6 @@ class _ColumnarBackend(Backend):
         except ValidationError as error:
             raise ValidationError(f"{part.locator}: {error}") from None
 
-    def iter_values(
-        self, part: "DatasetPart", column: Union[str, int], delimiter: str
-    ) -> Iterator[str]:
-        self.require()
-        reader, handle = self._open_reader(part.locator)
-        try:
-            name = resolve_column(self._schema_names(reader), column)
-            for index in range(self._num_groups(reader)):
-                table = self._read_group(reader, index, columns=[name])
-                for value in table.column(0).to_pylist():
-                    yield _columnar_cell(value)
-        finally:
-            handle.close()
-
     # -- apply input ---------------------------------------------------
     def plan_shards(
         self, locator: str, shard_bytes: int
@@ -272,13 +258,15 @@ class _ColumnarBackend(Backend):
         return parse_jsonl_chunk(spec, first_line, lines, label)
 
     def iter_shard_values(
-        self, locator: str, start: int, end: int, column: Union[str, int]
+        self, locator: str, start: int, end: Optional[int], column: Union[str, int],
+        delimiter: str, first_line: int,
     ) -> Iterator[str]:
         self.require()
         reader, handle = self._open_reader(locator)
         try:
             name = resolve_column(self._schema_names(reader), column)
-            for index in range(start, end):
+            stop = self._num_groups(reader) if end is None else end
+            for index in range(start, stop):
                 table = self._read_group(reader, index, columns=[name])
                 for value in table.column(0).to_pylist():
                     yield _columnar_cell(value)

@@ -19,49 +19,21 @@ import csv
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dataset.backends.base import Backend, RowSpec
-from repro.dataset.backends.remote import open_locator
 from repro.dataset.readers import (
     csv_data_region,
     first_jsonl_object,
-    iter_csv_values,
-    iter_jsonl_values,
+    iter_line_shard,
     jsonl_cell,
     jsonl_key_union,
+    jsonl_value,
     parse_jsonl_row,
 )
 from repro.util.csvio import resolve_column
 from repro.util.errors import CLXError, ValidationError
-from repro.util.textio import BadLine, decode_line
+from repro.util.textio import BadLine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.dataset.dataset import DatasetPart
-
-
-def iter_line_shard(
-    locator: str,
-    start: int,
-    end: Optional[int],
-    collect_bad: bool = False,
-    first_line: int = 1,
-) -> Iterator[str]:
-    """Decoded physical lines beginning in the exact byte range [start, end).
-
-    Both bounds are record boundaries from the shard planner, so the
-    worker owns precisely these lines; ``end=None`` streams to EOF.
-    Decode failures carry the true physical line number and absolute
-    byte offset (``first_line`` names the line sitting at ``start``).
-    """
-    with open_locator(locator) as handle:
-        handle.seek(start)
-        position = start
-        number = first_line - 1
-        while end is None or position < end:
-            raw = handle.readline()
-            if not raw:
-                return
-            number += 1
-            yield decode_line(raw, locator, number, position, collect_bad)
-            position += len(raw)
 
 
 def parse_csv_chunk(
@@ -173,11 +145,6 @@ class CsvBackend(Backend):
         except ValidationError as error:
             raise ValidationError(f"{part.locator}: {error}") from None
 
-    def iter_values(
-        self, part: "DatasetPart", column: Union[str, int], delimiter: str
-    ) -> Iterator[str]:
-        return iter_csv_values(part.locator, column, delimiter)
-
     def data_region(
         self, locator: str, delimiter: str
     ) -> Tuple[Optional[List[str]], int, int]:
@@ -198,6 +165,18 @@ class CsvBackend(Backend):
     ) -> List[List[str]]:
         return parse_csv_chunk(spec, first_line, lines, label)
 
+    def iter_shard_values(
+        self, locator: str, start: int, end: Optional[int], column: Union[str, int],
+        delimiter: str, first_line: int,
+    ) -> Iterator[str]:
+        assert isinstance(column, int), "CSV shards read a resolved header index"
+        lines = iter_line_shard(locator, start, end, first_line=first_line)
+        return (
+            row[column] if column < len(row) else ""
+            for row in csv.reader(lines, delimiter=delimiter)
+            if row  # blank lines are skipped, as csv.DictReader skips them
+        )
+
     def encode_rows(
         self, output_fields: Sequence[str], rows: List[List[str]], delimiter: str
     ) -> str:
@@ -211,6 +190,15 @@ class CsvBackend(Backend):
         from repro.engine.serialize import encode_rows_csv
 
         return encode_rows_csv([list(output_fields)], delimiter=delimiter)
+
+
+def _jsonl_column_name(locator: str, column: Union[str, int]) -> str:
+    """``column`` as a JSONL key; an index (or digit string) is refused."""
+    if not isinstance(column, str) or column.isdigit():
+        raise ValidationError(
+            f"{locator}: JSONL parts address columns by name, not index ({column!r})"
+        )
+    return column
 
 
 class JsonlBackend(Backend):
@@ -235,31 +223,16 @@ class JsonlBackend(Backend):
     ) -> Optional[List[str]]:
         return None  # JSONL addresses columns by name, never by index
 
-    def _check_column_name(
-        self, part: "DatasetPart", column: Union[str, int]
-    ) -> str:
-        if not isinstance(column, str) or column.isdigit():
-            raise ValidationError(
-                f"{part.locator}: JSONL parts address columns by name, "
-                f"not index ({column!r})"
-            )
-        return column
-
     def check_column(
         self, part: "DatasetPart", column: Union[str, int], delimiter: str
     ) -> None:
-        name = self._check_column_name(part, column)
+        name = _jsonl_column_name(part.locator, column)
         first = first_jsonl_object(part.locator)
         if first is not None and name not in first:
             raise ValidationError(
                 f"{part.locator}: column {name!r} not found; available: "
                 + ", ".join(sorted(first))
             )
-
-    def iter_values(
-        self, part: "DatasetPart", column: Union[str, int], delimiter: str
-    ) -> Iterator[str]:
-        return iter_jsonl_values(part.locator, self._check_column_name(part, column))
 
     def data_region(
         self, locator: str, delimiter: str
@@ -280,6 +253,18 @@ class JsonlBackend(Backend):
         self, spec: RowSpec, first_line: int, lines: List[str], label: str
     ) -> List[List[str]]:
         return parse_jsonl_chunk(spec, first_line, lines, label)
+
+    def iter_shard_values(
+        self, locator: str, start: int, end: Optional[int], column: Union[str, int],
+        delimiter: str, first_line: int,
+    ) -> Iterator[str]:
+        name = _jsonl_column_name(locator, column)
+        lines = iter_line_shard(locator, start, end, first_line=first_line)
+        return (
+            jsonl_value(parse_jsonl_row(line, locator, number), name)
+            for number, line in enumerate(lines, start=first_line)
+            if line.strip()
+        )
 
     def encode_rows(
         self, output_fields: Sequence[str], rows: List[List[str]], delimiter: str

@@ -32,10 +32,6 @@ from urllib.parse import urlsplit
 
 from repro.util.errors import CLXError
 
-#: File suffixes treated as JSON Lines partitions (kept for backward
-#: compatibility; the backend registry is the source of truth).
-JSONL_SUFFIXES = (".jsonl", ".ndjson")
-
 #: Characters that make a spec a glob pattern rather than a literal path.
 _GLOB_CHARS = ("*", "?", "[")
 
@@ -282,15 +278,25 @@ class Dataset:
     def iter_values(self, column: Union[str, int], delimiter: str = ",") -> Iterator[str]:
         """Stream ``column`` across every part, in part order.
 
-        Constant memory: each part is read line by line (row group by
-        row group for columnar parts) with the same missing-column
-        semantics as the byte-range profiling path (a short row
-        contributes ``""``).
+        Constant memory: each part is planned as one whole-part shard
+        (no cut scan) and read by
+        :meth:`~repro.dataset.backends.base.Backend.iter_shard_values`,
+        the reader every profiling worker uses, so the values and the
+        missing-column rules (a short row contributes ``""``) are the
+        same at any worker count.
         """
-        from repro.dataset.readers import iter_part_values
+        from repro.dataset.backends import backend_by_name
+        from repro.dataset.shards import plan_part
 
         for part in self._parts:
-            yield from iter_part_values(part, column, delimiter)
+            plan = plan_part(part, max(1, part.size), delimiter)
+            part_column = plan.reader_column(column)
+            backend = backend_by_name(part.format)
+            for shard in plan.shards:
+                yield from backend.iter_shard_values(
+                    shard.locator, shard.start, shard.end, part_column, delimiter,
+                    shard.first_line,
+                )
 
 
 def resolve_dataset(

@@ -1,10 +1,14 @@
-"""Per-partition value streaming (CSV and JSON Lines).
+"""Header scans and JSONL row rules shared by every line-record reader.
 
-These are the single-process readers behind
-:meth:`Dataset.iter_values <repro.dataset.dataset.Dataset.iter_values>`
-and the schema checks; the multi-process shard readers
-(:meth:`~repro.dataset.backends.base.Backend.read_shard_lines`, planned
-by :mod:`repro.dataset.shards`) share the header scan defined here.
+:meth:`Backend.iter_shard_values
+<repro.dataset.backends.base.Backend.iter_shard_values>` is the one
+column reader behind profiling at any worker count (and
+:meth:`Dataset.iter_values <repro.dataset.dataset.Dataset.iter_values>`);
+:meth:`~repro.dataset.backends.base.Backend.read_shard_lines` feeds the
+apply workers.  Both read a planned shard
+(:mod:`repro.dataset.shards`) through :func:`iter_line_shard` and build
+on the header scan, the JSONL row parser and the cell rule defined
+here, as do the schema checks.
 
 Every open goes through
 :func:`~repro.dataset.backends.remote.open_locator` (binary mode, lines
@@ -18,15 +22,13 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import closing
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.util.csvio import record_open_after, resolve_column
+from repro.util.csvio import record_open_after
 from repro.util.errors import ValidationError
-from repro.util.textio import BadLine, decode_line, iter_decoded_lines
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.dataset.dataset import DatasetPart
+from repro.util.textio import BadLine, decode_line
 
 
 def _open_binary(path: Union[str, Path]) -> IO[bytes]:
@@ -35,6 +37,35 @@ def _open_binary(path: Union[str, Path]) -> IO[bytes]:
     from repro.dataset.backends.remote import open_locator
 
     return open_locator(str(path))
+
+
+def iter_line_shard(
+    locator: str,
+    start: int,
+    end: Optional[int],
+    collect_bad: bool = False,
+    first_line: int = 1,
+) -> Iterator[str]:
+    """Decoded physical lines beginning in the exact byte range [start, end).
+
+    Both bounds are record boundaries from the shard planner, so the
+    reader owns precisely these lines; ``end=None`` streams to EOF.
+    Decode failures carry the true physical line number and absolute
+    byte offset (``first_line`` names the line sitting at ``start``).
+    Binary ``readline`` splits on ``"\\n"`` only: a lone ``"\\r"`` is
+    data, the pipeline-wide line convention.
+    """
+    with _open_binary(locator) as handle:
+        handle.seek(start)
+        position = start
+        number = first_line - 1
+        while end is None or position < end:
+            raw = handle.readline()
+            if not raw:
+                return
+            number += 1
+            yield decode_line(raw, locator, number, position, collect_bad)
+            position += len(raw)
 
 
 def read_csv_header(
@@ -92,40 +123,26 @@ def csv_data_region(
     return header, data_start, header_lines + 1
 
 
-def iter_csv_values(
-    path: Union[str, Path], column: Union[str, int], delimiter: str = ","
-) -> Iterator[str]:
-    """Stream one column of a CSV file, ``""`` for rows missing it."""
-    header, data_start, first_line = csv_data_region(path, delimiter)
-    index = header.index(resolve_column(header, column))
-    with _open_binary(path) as handle:
-        handle.seek(data_start)
-        lines = iter_decoded_lines(handle, str(path), first_line=first_line)
-        for row in csv.reader(lines, delimiter=delimiter):
-            if not row:
-                continue  # blank line, as csv.DictReader skips them
-            yield row[index] if index < len(row) else ""
-
-
 def parse_jsonl_row(
     line: str, source: Union[str, Path], number: Union[int, None] = None
 ) -> Dict[str, object]:
     """Parse one JSONL line into an object, with file context on errors.
 
-    The single definition of what a JSONL row is — shared by the
-    streaming readers, the schema check, and the byte-range profiling
-    workers, so their semantics (and error wording) cannot drift.
+    The single definition of what a JSONL row is — shared by the shard
+    value reader, the apply-side chunk parse, and the schema checks, so
+    their semantics (and error wording) cannot drift.
     """
-    where = f"{source} line {number}" if number is not None else str(source)
     try:
         payload = json.loads(line)
     except ValueError as error:
-        raise ValidationError(f"{where}: invalid JSON line: {error}") from None
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"{where}: JSONL rows must be objects, got {type(payload).__name__}"
-        )
-    return payload
+        problem = f"invalid JSON line: {error}"
+    else:
+        if isinstance(payload, dict):
+            return payload
+        problem = f"JSONL rows must be objects, got {type(payload).__name__}"
+    # The location is formatted only on failure: this runs once per row.
+    where = f"{source} line {number}" if number is not None else str(source)
+    raise ValidationError(f"{where}: {problem}")
 
 
 def jsonl_cell(value: object) -> str:
@@ -167,8 +184,7 @@ def jsonl_key_union(path: Union[str, Path], strict: bool = True) -> List[str]:
     source = str(path)
     keys: List[str] = []
     seen = set()
-    with _open_binary(path) as handle:
-        lines = iter_decoded_lines(handle, source, collect_bad=not strict)
+    with closing(iter_line_shard(source, 0, None, collect_bad=not strict)) as lines:
         for number, line in enumerate(lines, start=1):
             if isinstance(line, BadLine):
                 continue  # collect_bad only in lenient mode; skip like a bad parse
@@ -190,38 +206,9 @@ def jsonl_key_union(path: Union[str, Path], strict: bool = True) -> List[str]:
 def first_jsonl_object(path: Union[str, Path]) -> Optional[Dict[str, object]]:
     """The first non-blank JSON object of a JSONL file, or None if empty."""
     source = str(path)
-    with _open_binary(path) as handle:
-        for number, line in enumerate(iter_decoded_lines(handle, source), start=1):
-            if not line.strip():
-                continue
-            return parse_jsonl_row(line, source, number)
+    # closing(): an early return must not leave the file to the collector.
+    with closing(iter_line_shard(source, 0, None)) as lines:
+        for number, line in enumerate(lines, start=1):
+            if line.strip():
+                return parse_jsonl_row(line, source, number)
     return None
-
-
-def iter_jsonl_values(path: Union[str, Path], column: str) -> Iterator[str]:
-    """Stream one key of a JSONL file, ``""`` for rows missing it.
-
-    Values are stringified the way the profiler ingests them (``None``
-    becomes ``""``), so a JSONL part profiles identically to a CSV part
-    holding the same strings.
-    """
-    source = str(path)
-    # Binary readline splits physical lines on "\n" and nothing else —
-    # the pipeline-wide JSONL convention (a lone "\r" is data, not a
-    # line break) — so a file that profiles also applies, and vice versa.
-    with _open_binary(path) as handle:
-        for number, line in enumerate(iter_decoded_lines(handle, source), start=1):
-            if not line.strip():
-                continue
-            yield jsonl_value(parse_jsonl_row(line, source, number), column)
-
-
-def iter_part_values(
-    part: "DatasetPart", column: Union[str, int], delimiter: str = ","
-) -> Iterator[str]:
-    """Stream ``column`` out of one :class:`~repro.dataset.dataset.DatasetPart`."""
-    from repro.dataset.backends import backend_by_name
-
-    backend = backend_by_name(part.format)
-    backend.require()
-    yield from backend.iter_values(part, column, delimiter)

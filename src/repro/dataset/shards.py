@@ -1,8 +1,8 @@
-"""Record-aligned shard planning, shared by parallel profile and apply.
+"""Record-aligned shard planning, shared by profile and apply.
 
 One planner splits every part of a partitioned dataset into units of
-work a worker process can read on its own, given only the part's
-locator and the shard bounds:
+work a reader can process on its own, given only the part's locator
+and the shard bounds:
 
 * **line-record parts** (CSV, JSONL) become byte ranges whose bounds
   are record boundaries.  One
@@ -13,21 +13,24 @@ locator and the shard bounds:
 * **rowgroup parts** (Parquet, Arrow IPC) become row-group index ranges
   from :meth:`~repro.dataset.backends.base.Backend.plan_shards`.
 
-:class:`~repro.engine.parallel.ShardedTableExecutor` (apply) and
-:class:`~repro.clustering.parallel.ParallelProfiler` (profile) both plan
-here and read a shard with
-:meth:`~repro.dataset.backends.base.Backend.read_shard_lines`; they
-differ only in what a worker does with the lines.
+:class:`~repro.engine.parallel.ShardedTableExecutor` (apply) plans here
+and reads a shard's raw lines with
+:meth:`~repro.dataset.backends.base.Backend.read_shard_lines`.
+:class:`~repro.clustering.parallel.ParallelProfiler` and
+:meth:`~repro.dataset.dataset.Dataset.iter_values` (profile) plan here
+too and read a shard's column with
+:meth:`~repro.dataset.backends.base.Backend.iter_shard_values` — at any
+worker count, a serial pass being one whole-part shard per part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Union
 
 from repro.dataset.backends import Backend, backend_by_name, open_locator
 from repro.dataset.dataset import DatasetPart
-from repro.util.csvio import iter_record_cut_points
+from repro.util.csvio import iter_record_cut_points, resolve_column
 from repro.util.errors import CLXError
 
 #: Default byte size of one shard: parts larger than this split into
@@ -71,6 +74,20 @@ class PartPlan(NamedTuple):
 
     header: Optional[List[str]]
     shards: Iterator[Shard]
+
+    def reader_column(self, column: Union[str, int]) -> Union[str, int]:
+        """``column`` as :meth:`Backend.iter_shard_values` takes it here.
+
+        A header-rowed part resolves it to a header index (a name may
+        sit at a different index in every part); other parts pass it
+        through for their backend to check.
+
+        Raises:
+            ValidationError: If the header lacks the column.
+        """
+        if self.header is None:
+            return column
+        return self.header.index(resolve_column(self.header, column))
 
 
 def plan_part(part: DatasetPart, shard_bytes: int, delimiter: str = ",") -> PartPlan:

@@ -132,26 +132,42 @@ def kill_pool(pool: Executor) -> None:
 
     ``Executor.shutdown`` joins running workers, which hangs forever on
     a hung or wedged worker.  This terminates the worker processes
-    directly (``ProcessPoolExecutor`` keeps them in ``_processes``),
-    cancels everything queued, and joins with a bounded deadline,
-    escalating to SIGKILL for anything that ignores SIGTERM — so the
-    parent never orphans children and never blocks indefinitely.
+    directly, cancels everything queued, and joins with a bounded
+    deadline, escalating to SIGKILL for anything that ignores SIGTERM —
+    so the parent never orphans children and never blocks indefinitely.
+
+    ``ProcessPoolExecutor`` keeps its workers in a ``_processes`` dict.
+    Its manager thread joins them too: when that thread reaps a worker
+    first, ``join`` here returns at once but ``is_alive()`` stays true
+    until the thread records the exit code.  The manager thread may also
+    add workers to the dict, and ``shutdown`` drops the executor's
+    reference to it.  So the dict itself is held and re-read until no
+    process in it is alive or the deadline passes.
     """
-    process_map = getattr(pool, "_processes", None) or {}
-    processes = list(process_map.values())
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
+    process_map = getattr(pool, "_processes", None)
+    if process_map is None:
+        process_map = {}
+    _terminate_all(process_map)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - shutdown of an already-broken pool
         pass
     deadline = time.monotonic() + 5.0
-    for process in processes:
-        process.join(timeout=max(0.0, deadline - time.monotonic()))
-        if process.is_alive():  # pragma: no cover - SIGTERM ignored
-            process.kill()
-            process.join(timeout=1.0)
+    while (alive := _terminate_all(process_map)) and time.monotonic() < deadline:
+        for process in alive:
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
+    for process in alive:  # pragma: no cover - SIGTERM ignored
+        process.kill()
+        process.join(timeout=1.0)
+
+
+def _terminate_all(process_map: Any) -> List[Any]:
+    """SIGTERM every live process in ``process_map``; return those."""
+    # Copied first: the executor's manager thread may change the dict.
+    alive = [process for process in list(process_map.values()) if process.is_alive()]
+    for process in alive:
+        process.terminate()
+    return alive
 
 
 @dataclass

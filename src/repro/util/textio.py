@@ -15,7 +15,7 @@ that record.
 
 from __future__ import annotations
 
-from typing import IO, Iterator, Tuple
+from typing import Tuple
 
 from repro.util.errors import CLXError
 
@@ -87,24 +87,3 @@ def decode_line(
             return BadLine(raw.decode("utf-8", errors="replace"), message)
         raise CLXError(message) from None
 
-
-def iter_decoded_lines(
-    handle: IO[bytes],
-    source: str,
-    first_line: int = 1,
-    collect_bad: bool = False,
-) -> Iterator[str]:
-    """Stream decoded physical lines from a binary handle, with context.
-
-    The handle is read from its current position; byte offsets in error
-    messages are absolute (``handle.tell()`` before each line), so the
-    same generator serves whole files and seeked byte ranges alike.
-    """
-    number = first_line - 1
-    while True:
-        offset = handle.tell()
-        raw = handle.readline()
-        if not raw:
-            return
-        number += 1
-        yield decode_line(raw, source, number, offset, collect_bad)

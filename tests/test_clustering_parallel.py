@@ -258,8 +258,11 @@ def _poison_line(path, line_number):
 
 
 class TestShardDiagnostics:
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", ["part-0.csv", "part-1.jsonl"])
-    def test_invalid_utf8_mid_shard_names_file_line_and_offset(self, tmp_path, name):
+    def test_invalid_utf8_mid_shard_names_file_line_and_offset(
+        self, tmp_path, name, workers
+    ):
         _write_mixed_parts(tmp_path)
         path = tmp_path / name
         # Line 150 is not the first line of any shard the profiler plans.
@@ -270,7 +273,7 @@ class TestShardDiagnostics:
         shards = plan_part(part, -(-dataset.total_size // 2)).shards
         assert any(shard.start < line_start < shard.end for shard in shards)
         with pytest.raises(CLXError) as info:
-            ParallelProfiler(workers=2).profile_dataset(dataset, "phone")
+            ParallelProfiler(workers=workers).profile_dataset(dataset, "phone")
         message = str(info.value)
         assert f"{path} line 150:" in message
         assert f"at byte offset {offset};" in message

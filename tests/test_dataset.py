@@ -154,6 +154,12 @@ class TestValueStreaming:
         with pytest.raises(ValidationError, match="objects"):
             list(dataset.iter_values("phone"))
 
+    def test_jsonl_rejects_index_addressing(self, tmp_path):
+        _write_jsonl(tmp_path / "rows.jsonl", [{"phone": "734"}])
+        dataset = Dataset.resolve(str(tmp_path / "rows.jsonl"))
+        with pytest.raises(ValidationError, match="by name"):
+            list(dataset.iter_values(0))
+
 
 class TestSessionFromDataset:
     def test_opens_a_profile_backed_session(self, partitioned):

@@ -31,7 +31,7 @@ from repro.engine.parallel import ShardedTableExecutor, apply_dataset
 from repro.engine.resilience import quarantine_file_name
 from repro.util import faults
 from repro.util.errors import CLXError
-from repro.util.pools import FaultPolicy, PoolTaskFailure, ResilientPool
+from repro.util.pools import FaultPolicy, PoolTaskFailure, ResilientPool, kill_pool
 
 
 @pytest.fixture(scope="module")
@@ -469,6 +469,63 @@ class TestPoolTeardown:
         finally:
             pool.close()
         assert _join_children() == []
+
+    def test_kill_pool_reaps_a_worker_spawned_during_shutdown(self):
+        # ProcessPoolExecutor's manager thread may add a worker to the
+        # ``_processes`` dict after teardown began, and ``shutdown`` then
+        # drops the executor's reference to that dict.
+        class LateSpawnExecutor:
+            def __init__(self):
+                self._processes = {}
+                self.late = None
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                self.late = multiprocessing.Process(target=time.sleep, args=(60,))
+                self.late.start()
+                self._processes[self.late.pid] = self.late
+                self._processes = None
+
+        executor = LateSpawnExecutor()
+        try:
+            kill_pool(executor)
+            assert not executor.late.is_alive()
+            assert executor.late.exitcode is not None  # joined, not a zombie
+        finally:
+            if executor.late is not None and executor.late.is_alive():
+                executor.late.kill()
+                executor.late.join(5.0)
+
+    def test_kill_pool_waits_for_an_exit_another_thread_reaped(self):
+        # When the executor's manager thread reaps a worker first, join()
+        # returns at once while is_alive() stays true until that thread
+        # records the exit code.
+        class SlowlyReapedProcess:
+            polls_left = 3
+
+            def is_alive(self):
+                self.polls_left -= 1
+                return self.polls_left >= 0
+
+            def terminate(self):
+                pass
+
+            def kill(self):
+                pass
+
+            def join(self, timeout=None):
+                pass
+
+        class ReapedExecutor:
+            def __init__(self):
+                self._processes = {1: SlowlyReapedProcess()}
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        executor = ReapedExecutor()
+        process = executor._processes[1]
+        kill_pool(executor)
+        assert process.polls_left < 0
 
     def test_worker_death_inside_retry_budget_completes_in_order(self, tmp_path):
         from concurrent.futures import ProcessPoolExecutor
