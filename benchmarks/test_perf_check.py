@@ -7,17 +7,24 @@ compiles the whole suite, runs one ``check`` invocation over all
 artifacts (static passes + ReDoS probe), asserts the gate passes, and
 records synthesis/check wall-time into ``benchmarks/BENCH_pipeline.json``
 alongside the profile/apply trajectories.
+
+Also the prove-or-remove row for the coverage audit's subsumption fast
+path (CLX012): ``check_coverage`` against a union-search-only loop over
+the suite's artifacts and their profiled hierarchies.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.lang import subsumed_by_union
+from repro.analysis.passes import ProgramLanguages, check_coverage
 from repro.cli import main
 from repro.core.session import CLXSession
 from repro.util.errors import SynthesisError
@@ -32,6 +39,12 @@ TRAJECTORY_LIMIT = 20
 #: The full sweep (47 artifacts, exact NFA passes + probes) must stay
 #: well inside interactive latency even on contended CI runners.
 CHECK_BUDGET_SECONDS = 30.0
+
+#: Timed repeats of the coverage-audit row; the verdict is their median.
+COVERAGE_REPEATS = 3
+
+#: A mechanism stays only if it wins by at least this much.
+COVERAGE_MIN_SPEEDUP = 1.2
 
 
 @pytest.fixture(scope="module")
@@ -92,4 +105,62 @@ def test_perf_check_suite_sweep(suite_tasks, tmp_path, recorder, capsys):
     assert check_seconds < CHECK_BUDGET_SECONDS, (
         f"lint sweep took {check_seconds:.1f} s over {len(paths)} artifacts "
         f"(budget {CHECK_BUDGET_SECONDS:.0f} s)"
+    )
+
+
+def _union_only_uncovered(compiled, hierarchy):
+    """The reference: one exact union search per leaf, no fast path."""
+    leaves = list(hierarchy.leaf_nodes)
+    languages = ProgramLanguages(compiled, extra_patterns=[leaf.pattern for leaf in leaves])
+    cover = [languages.nfa(compiled.target)] + [
+        languages.nfa(branch.pattern)
+        for branch in compiled.program.branches
+        if branch.guard is None
+    ]
+    return [
+        leaf.pattern.notation()
+        for leaf in leaves
+        if not subsumed_by_union(languages.nfa(leaf.pattern), cover, languages.atoms)
+    ]
+
+
+def _audited_uncovered(compiled, hierarchy):
+    return [f.data["pattern"] for f in check_coverage(compiled, hierarchy, "suite")]
+
+
+def _timed_audit(audit, artifacts):
+    start = time.perf_counter()
+    results = [audit(compiled, hierarchy) for compiled, hierarchy in artifacts]
+    return results, time.perf_counter() - start
+
+
+def test_perf_coverage_audit(suite_tasks):
+    artifacts = []
+    for task in suite_tasks:
+        session = CLXSession(task.inputs)
+        session.label_target(task.target_pattern())
+        try:
+            artifacts.append((session.compile(), session.hierarchy))
+        except SynthesisError:
+            continue
+    assert artifacts, "no suite task compiled an artifact"
+    speedups = []
+    for _ in range(COVERAGE_REPEATS):
+        reference, reference_seconds = _timed_audit(_union_only_uncovered, artifacts)
+        audited, audited_seconds = _timed_audit(_audited_uncovered, artifacts)
+        assert audited == reference
+        speedups.append(reference_seconds / audited_seconds)
+    speedup = statistics.median(speedups)
+    leaves = sum(len(hierarchy.leaf_nodes) for _compiled, hierarchy in artifacts)
+    uncovered = sum(len(found) for found in audited)
+    rows_table = [
+        ("artifacts", f"{len(artifacts)}", f"{leaves} leaves, {uncovered} CLX012"),
+        ("union search only", f"{reference_seconds:.3f} s", "last repeat"),
+        ("subsumption fast path", f"{audited_seconds:.3f} s", "last repeat"),
+        ("median speed-up", f"{speedup:.1f}x", f"of {COVERAGE_REPEATS} repeats"),
+    ]
+    print("\n" + format_table(["coverage audit", "value", "detail"], rows_table))
+    assert speedup >= COVERAGE_MIN_SPEEDUP, (
+        f"coverage fast path is only {speedup:.2f}x the union search "
+        f"(median of {speedups}); expected >= {COVERAGE_MIN_SPEEDUP}x"
     )

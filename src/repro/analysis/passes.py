@@ -335,18 +335,23 @@ def check_coverage(
     (e.g. lowered from a :class:`~repro.clustering.incremental.ColumnProfile`).
     Residual clusters would silently pass through an apply unchanged;
     the finding carries row counts so drift quarantine can budget.
+
+    A leaf that the target or an unguarded branch pattern token-wise
+    subsumes (:meth:`Pattern.subsumes`, which holds for equal patterns,
+    is language inclusion) is covered without a search; the exact union
+    search settles the rest.
     """
     leaves = list(hierarchy.leaf_nodes)
     languages = ProgramLanguages(compiled, extra_patterns=[leaf.pattern for leaf in leaves])
     atoms = languages.atoms
-    unguarded = [
-        languages.nfa(branch.pattern)
-        for branch in compiled.program.branches
-        if branch.guard is None
+    cover_patterns = [compiled.target] + [
+        branch.pattern for branch in compiled.program.branches if branch.guard is None
     ]
-    cover = [languages.nfa(compiled.target)] + unguarded
+    cover = [languages.nfa(pattern) for pattern in cover_patterns]
     findings: List[Finding] = []
     for leaf in leaves:
+        if any(pattern.subsumes(leaf.pattern) for pattern in cover_patterns):
+            continue
         if subsumed_by_union(languages.nfa(leaf.pattern), cover, atoms):
             continue
         samples: List[str] = []

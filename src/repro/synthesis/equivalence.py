@@ -6,14 +6,25 @@ constant '/' from the source versus emitting it as a ``ConstStr``.
 Showing equivalent plans as separate repair options only wastes user
 effort, so only the simplest representative of each equivalence class is
 kept.
+
+Deduplication compares a plan only with the kept plans that share its
+*canonical key* (:func:`_canonical_key`): equivalent plans always share a
+key, so no equivalent pair is missed.  The key is a filter, not the
+verdict — the pairwise relation is not transitive (``Extract(i)`` and
+``Extract(j)`` of the same literal are each equivalent to its
+``ConstStr`` but not to each other), so the exact pairwise check still
+decides within a bucket.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dsl.ast import AtomicPlan, ConstStr, Extract, StringExpression
 from repro.patterns.pattern import Pattern
+
+#: A plan's canonical key: token indices and constant texts.
+_Key = Tuple[Union[int, str], ...]
 
 
 def _split_extracts(plan: AtomicPlan) -> List[StringExpression]:
@@ -27,6 +38,16 @@ def _split_extracts(plan: AtomicPlan) -> List[StringExpression]:
     return flattened
 
 
+def _literal_text(extract: Extract, source: Pattern) -> Optional[str]:
+    """The text of the literal source token a single ``Extract`` copies, if any."""
+    if extract.start != extract.end:
+        return None
+    if extract.start > len(source):
+        return None
+    token = source[extract.start - 1]
+    return token.literal if token.is_literal else None
+
+
 def _operations_interchangeable(
     left: StringExpression, right: StringExpression, source: Pattern
 ) -> bool:
@@ -37,24 +58,13 @@ def _operations_interchangeable(
         extract, const = right, left
     else:
         return False
-    if extract.start != extract.end:
-        return False
-    if extract.start > len(source):
-        return False
-    token = source[extract.start - 1]
-    return token.is_literal and token.literal == const.text
+    return _literal_text(extract, source) == const.text
 
 
-def plans_equivalent(first: AtomicPlan, second: AtomicPlan, source: Pattern) -> bool:
-    """Whether two plans always yield the same output for ``source`` strings.
-
-    Implements the pairwise check of Appendix B: after splitting
-    multi-token extracts, the plans must have equal length and each pair
-    of aligned operations must be identical or interchangeable (an
-    extract of a constant source token versus the same text as ConstStr).
-    """
-    left = _split_extracts(first)
-    right = _split_extracts(second)
+def _split_equivalent(
+    left: Sequence[StringExpression], right: Sequence[StringExpression], source: Pattern
+) -> bool:
+    """The pairwise check of Appendix B over two already-split plans."""
     if len(left) != len(right):
         return False
     for left_op, right_op in zip(left, right):
@@ -66,8 +76,40 @@ def plans_equivalent(first: AtomicPlan, second: AtomicPlan, source: Pattern) -> 
     return True
 
 
+def _canonical_key(split: Sequence[StringExpression], source: Pattern) -> _Key:
+    """``split`` with every extract of a literal token rewritten to its text.
+
+    A ``ConstStr`` keys as its text and any other extract as its token
+    index, so aligned ops that are equal or interchangeable share a key
+    element and equivalent plans always share a key.
+    """
+    key: List[Union[int, str]] = []
+    for op in split:
+        if isinstance(op, ConstStr):
+            key.append(op.text)
+            continue
+        text = _literal_text(op, source)
+        key.append(op.start if text is None else text)
+    return tuple(key)
+
+
+def plans_equivalent(first: AtomicPlan, second: AtomicPlan, source: Pattern) -> bool:
+    """Whether two plans always yield the same output for ``source`` strings.
+
+    Implements the pairwise check of Appendix B: after splitting
+    multi-token extracts, the plans must have equal length and each pair
+    of aligned operations must be identical or interchangeable (an
+    extract of a constant source token versus the same text as ConstStr).
+    """
+    return _split_equivalent(_split_extracts(first), _split_extracts(second), source)
+
+
 def deduplicate_plans(plans: Sequence[AtomicPlan], source: Pattern) -> List[AtomicPlan]:
     """Keep only the first (i.e. simplest, given MDL-ranked input) plan per class.
+
+    Each plan is split once and compared, with the exact pairwise check,
+    only against the kept plans in its canonical-key bucket; the result
+    equals comparing it against every kept plan.
 
     Args:
         plans: Plans already ranked by description length (ascending).
@@ -78,8 +120,12 @@ def deduplicate_plans(plans: Sequence[AtomicPlan], source: Pattern) -> List[Atom
         order.
     """
     kept: List[AtomicPlan] = []
+    buckets: Dict[_Key, List[List[StringExpression]]] = {}
     for plan in plans:
-        if any(plans_equivalent(plan, existing, source) for existing in kept):
+        split = _split_extracts(plan)
+        bucket = buckets.setdefault(_canonical_key(split, source), [])
+        if any(_split_equivalent(split, existing, source) for existing in bucket):
             continue
+        bucket.append(split)
         kept.append(plan)
     return kept

@@ -110,9 +110,12 @@ class Synthesizer:
         keep_candidates: Maximum number of ranked candidate plans retained
             per source pattern for later repair (the paper keeps the top
             ``k``).
-        dedup_window: Equivalence deduplication (Appendix B) is quadratic,
-            so it only runs over this many of the best-ranked plans before
-            the ``keep_candidates`` cut is applied.
+        dedup_window: How many of the best-ranked plans equivalence
+            deduplication (Appendix B) runs over before the
+            ``keep_candidates`` cut is applied.  It is part of the
+            candidate-list contract: widening it changes the repair
+            alternatives (e.g. 46 → 50 candidates for the suite's name
+            tasks' ``<U>+<L>+'.'' '<U>+<L>+' '<U>+<L>+`` source).
     """
 
     max_plans_per_source: int = 5_000

@@ -14,6 +14,11 @@ exemplars it was synthesized from.
 
 Plus the release gate itself: one ``check --fail-on error`` run over all
 47 compiled artifacts exits 0.
+
+And the coverage audit's subsumption fast path: token-wise
+``Pattern.subsumes`` implies exact language inclusion on random pattern
+pairs, and ``check_coverage`` reports exactly what a union-search-only
+loop reports on every suite task (and with its first branch pruned).
 """
 
 from __future__ import annotations
@@ -21,11 +26,17 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import Severity, analyze_program
+from repro.analysis.lang import atom_alphabet, pattern_nfa, subsumed_by_union
+from repro.analysis.passes import ProgramLanguages, check_coverage
 from repro.bench.suite import benchmark_suite
 from repro.cli import main
 from repro.core.session import CLXSession
 from repro.dsl.ast import Branch, UniFiProgram
 from repro.engine.compiled import CompiledProgram
+from repro.patterns.parse import parse_pattern
+from repro.patterns.pattern import Pattern
+from repro.tokens.classes import GENERALIZATION_ORDER, TokenClass
+from repro.tokens.token import PLUS, Token
 from repro.util.errors import SynthesisError
 
 DEAD_ARM_RULES = ("CLX001", "CLX002", "CLX010")
@@ -149,3 +160,152 @@ class TestSessionAnalyzeApi:
         assert residual, "session hierarchy not threaded into coverage audit"
         assert residual[0].location == "interactive"
         assert report.max_severity() >= Severity.WARN
+
+
+# ----------------------------------------------------------------------
+# Coverage audit: subsumption fast path vs the exact union search
+# ----------------------------------------------------------------------
+
+_LITERALS = ("-", "_", "/", "a", "7", "ab", "Q", "x9")
+_CLASSES = (
+    TokenClass.DIGIT,
+    TokenClass.LOWER,
+    TokenClass.UPPER,
+    TokenClass.ALPHA,
+    TokenClass.ALNUM,
+)
+
+
+def _random_token(rng):
+    if rng.random() < 0.35:
+        return Token.lit(rng.choice(_LITERALS))
+    quantifier = PLUS if rng.random() < 0.3 else rng.randint(1, 3)
+    return Token.base(rng.choice(_CLASSES), quantifier)
+
+
+def _generalized(rng, token):
+    """``token`` or a token one or two refinement steps more general."""
+    if rng.random() < 0.4:
+        return token
+    if token.is_literal:
+        classes = [
+            klass
+            for klass in _CLASSES
+            if all(klass.accepts_char(char) for char in token.literal)
+        ]
+        if not classes:
+            return token
+        quantifier = PLUS if rng.random() < 0.5 else len(token.literal)
+        return Token.base(rng.choice(classes), quantifier)
+    klass = token.klass
+    for _ in range(rng.randint(0, 2)):
+        klass = GENERALIZATION_ORDER.get(klass, klass)
+    quantifier = PLUS if rng.random() < 0.5 else token.quantifier
+    return Token.base(klass, quantifier)
+
+
+def _nfa_subsumes(parent, child):
+    atoms = atom_alphabet([parent, child])
+    return subsumed_by_union(
+        pattern_nfa(child, atoms), [pattern_nfa(parent, atoms)], atoms
+    )
+
+
+class TestSubsumesImpliesInclusion:
+    def test_fixed_width_does_not_subsume_plus(self):
+        fixed, plus = parse_pattern("<D>3"), parse_pattern("<D>+")
+        assert fixed.subsumes(plus) is False
+        assert _nfa_subsumes(fixed, plus) is False
+        assert plus.subsumes(fixed) and _nfa_subsumes(plus, fixed)
+
+    def test_alnum_subsumes_a_dash_literal(self):
+        alnum, dash = parse_pattern("<AN>"), parse_pattern("'-'")
+        assert alnum.subsumes(dash) is True
+        assert _nfa_subsumes(alnum, dash)
+
+    def test_random_pairs(self, property_rng):
+        subsumed = 0
+        for _ in range(600):
+            child = Pattern(
+                [_random_token(property_rng) for _ in range(property_rng.randint(1, 4))]
+            )
+            if property_rng.random() < 0.25:
+                parent = Pattern([_random_token(property_rng) for _ in child])
+            else:
+                parent = Pattern([_generalized(property_rng, t) for t in child])
+            if parent.subsumes(child):
+                subsumed += 1
+                assert _nfa_subsumes(parent, child), (
+                    parent.notation(),
+                    child.notation(),
+                )
+        assert subsumed >= 200, f"only {subsumed} subsuming pairs drawn"
+
+
+def _union_only_coverage(compiled, hierarchy, name, max_samples=3):
+    """CLX012 by the exact union search alone, one search per leaf."""
+    leaves = list(hierarchy.leaf_nodes)
+    languages = ProgramLanguages(
+        compiled, extra_patterns=[leaf.pattern for leaf in leaves]
+    )
+    cover = [languages.nfa(compiled.target)] + [
+        languages.nfa(branch.pattern)
+        for branch in compiled.program.branches
+        if branch.guard is None
+    ]
+    rows = []
+    for leaf in leaves:
+        if subsumed_by_union(languages.nfa(leaf.pattern), cover, languages.atoms):
+            continue
+        samples = leaf.cluster.sample(max_samples) if leaf.cluster is not None else []
+        rows.append(
+            (
+                "CLX012",
+                name,
+                f"profiled cluster {leaf.pattern.notation()} ({leaf.size} row(s)) "
+                "matches no branch; those rows pass through unchanged",
+                leaf.pattern.notation(),
+                leaf.size,
+                samples,
+            )
+        )
+    return rows
+
+
+def _coverage_rows(compiled, hierarchy, name):
+    return [
+        (
+            f.rule_id,
+            f.location,
+            f.message,
+            f.data["pattern"],
+            f.data["rows"],
+            list(f.data["samples"]),
+        )
+        for f in check_coverage(compiled, hierarchy, name)
+    ]
+
+
+class TestCoverageAuditDifferential:
+    def test_findings_equal_union_search_on_every_task(self, suite_programs):
+        produced = 0
+        for task, compiled, _ in suite_programs:
+            hierarchy = CLXSession(task.inputs).hierarchy
+            rows = _coverage_rows(compiled, hierarchy, task.task_id)
+            assert rows == _union_only_coverage(compiled, hierarchy, task.task_id)
+            produced += len(rows)
+        assert produced >= 1, "no suite task produced a CLX012 finding"
+
+    def test_findings_equal_union_search_with_first_branch_pruned(
+        self, suite_programs
+    ):
+        # Deleting a branch uncovers its leaves, so the fast path's misses
+        # and the union search's findings are exercised on every task.
+        produced = 0
+        for task, compiled, _ in suite_programs:
+            hierarchy = CLXSession(task.inputs).hierarchy
+            pruned = _pruned(compiled, 0)
+            rows = _coverage_rows(pruned, hierarchy, task.task_id)
+            assert rows == _union_only_coverage(pruned, hierarchy, task.task_id)
+            produced += len(rows)
+        assert produced >= len(suite_programs)

@@ -73,3 +73,70 @@ class TestDeduplicatePlans:
 
     def test_empty_input(self):
         assert deduplicate_plans([], SOURCE) == []
+
+    def test_extracts_of_the_same_literal_are_both_kept(self):
+        # Tokens 2 and 4 are the same '/' literal: each extract equals
+        # ConstStr('/'), but the two extracts are not equivalent to each
+        # other, so dedup must keep both (the relation is not transitive).
+        source = parse_pattern("<D>2'/'<D>2'/'<D>4")
+        first = AtomicPlan((Extract(2),))
+        second = AtomicPlan((Extract(4),))
+        const = AtomicPlan((ConstStr("/"),))
+        assert plans_equivalent(first, const, source)
+        assert plans_equivalent(second, const, source)
+        assert not plans_equivalent(first, second, source)
+        assert deduplicate_plans([first, second], source) == [first, second]
+        assert deduplicate_plans([const, first, second], source) == [const]
+
+
+def _pairwise_reference(plans, source):
+    """Deduplication by comparing each plan with every kept plan."""
+    kept = []
+    for plan in plans:
+        if any(plans_equivalent(plan, existing, source) for existing in kept):
+            continue
+        kept.append(plan)
+    return kept
+
+
+_LITERALS = ("/", "-", ".", "ab")
+_CLASS_TOKENS = ("<D>2", "<D>+", "<L>+", "<U>", "<AN>+")
+
+
+def _random_source(rng):
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            parts.append(f"'{rng.choice(_LITERALS)}'")
+        else:
+            parts.append(rng.choice(_CLASS_TOKENS))
+    return parse_pattern("".join(parts))
+
+
+def _random_plan(rng, source):
+    literals = [token.literal for token in source if token.is_literal]
+    ops = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.5:
+            # Up to one index past the source, which is never a literal.
+            start = rng.randint(1, len(source) + 1)
+            ops.append(Extract(start, rng.randint(start, min(start + 2, len(source) + 1))))
+        elif roll < 0.8 and literals:
+            ops.append(ConstStr(rng.choice(literals)))
+        else:
+            ops.append(ConstStr(rng.choice(_LITERALS + ("x",))))
+    return AtomicPlan(ops)
+
+
+class TestDeduplicateProperties:
+    def test_bucketed_dedup_equals_pairwise_reference(self, property_rng):
+        for _ in range(400):
+            source = _random_source(property_rng)
+            plans = [
+                _random_plan(property_rng, source)
+                for _ in range(property_rng.randint(0, 40))
+            ]
+            assert deduplicate_plans(plans, source) == _pairwise_reference(
+                plans, source
+            ), (source.notation(), [str(list(map(str, p))) for p in plans])
