@@ -5,9 +5,14 @@ takes per task of the 47-task suite.  The paper positions CLX as an
 interactive tool, so the latency per task should stay well under a second
 on laptop-class hardware for the benchmark-sized inputs.
 
-Also the prove-or-remove row for bucketed plan deduplication (Appendix
-B): ``deduplicate_plans`` against the pairwise loop it replaced, over the
-ranked plan lists the suite's synthesis actually deduplicates.
+Also the prove-or-remove rows for the two synthesis hot spots, over the
+plan lists the suite's synthesis actually passes in:
+
+* MDL ranking (Section 6.3): the one-pass ``rank_plans`` against sorting
+  by the five-part key of the specification functions;
+* plan deduplication (Appendix B): the flat key/picks ``deduplicate_plans``
+  against the pairwise loop and against the split-and-bucket version that
+  built ``Extract`` objects per split op.
 """
 
 from __future__ import annotations
@@ -15,20 +20,25 @@ from __future__ import annotations
 import statistics
 import time
 
+import pytest
+
 import repro.synthesis.synthesizer as synthesizer_module
 from repro.clustering.profiler import PatternProfiler
 from repro.core.session import CLXSession
 from repro.core.transformer import transform_column
+from repro.dsl.ast import ConstStr, Extract
+from repro.dsl.mdl import plan_description_length
 from repro.synthesis.equivalence import deduplicate_plans, plans_equivalent
+from repro.synthesis.plans import monotonicity_violations, overlap_violations, rank_plans
 from repro.synthesis.synthesizer import Synthesizer
 from repro.util.errors import SynthesisError
 from repro.util.text import format_table
 
-#: Timed repeats of the dedup row; the verdict is their median.
-DEDUP_REPEATS = 3
+#: Timed repeats of each prove-or-remove row; the verdict is their median.
+REPEATS = 3
 
 #: A mechanism stays only if it wins by at least this much.
-DEDUP_MIN_SPEEDUP = 1.2
+MIN_SPEEDUP = 1.2
 
 
 def _run_task(task):
@@ -59,24 +69,47 @@ def test_perf_synthesis_latency(suite_tasks, benchmark):
     assert total / len(timings) < 1.0
 
 
-def _suite_dedup_inputs(suite_tasks, monkeypatch):
-    """Every ``(ranked plans, source)`` the suite's synthesis deduplicates."""
-    recorded = []
+@pytest.fixture(scope="module")
+def suite_synthesis_inputs(suite_tasks):
+    """Every ``(plans, source)`` the suite's synthesis ranks and deduplicates."""
+    ranked, deduplicated = [], []
 
-    def recording(plans, source):
-        recorded.append((list(plans), source))
-        return deduplicate_plans(plans, source)
+    def recording(log, function):
+        def record(plans, source):
+            log.append((list(plans), source))
+            return function(plans, source)
 
-    monkeypatch.setattr(synthesizer_module, "deduplicate_plans", recording)
-    for task in suite_tasks:
-        session = CLXSession(task.inputs)
-        session.label_target(task.target_pattern())
-        try:
-            session.synthesize()
-        except SynthesisError:
-            continue
-    monkeypatch.undo()
-    return recorded
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthesizer_module, "rank_plans", recording(ranked, rank_plans))
+        patch.setattr(
+            synthesizer_module, "deduplicate_plans", recording(deduplicated, deduplicate_plans)
+        )
+        for task in suite_tasks:
+            session = CLXSession(task.inputs)
+            session.label_target(task.target_pattern())
+            try:
+                session.synthesize()
+            except SynthesisError:
+                continue
+    return ranked, deduplicated
+
+
+def _reference_rank(plans, source):
+    """The specification: sort by the five-part key of the spec functions."""
+    source_length = max(1, len(source))
+
+    def key(plan):
+        return (
+            overlap_violations(plan),
+            plan_description_length(plan, source_length),
+            monotonicity_violations(plan),
+            len(plan),
+            str(plan),
+        )
+
+    return sorted(plans, key=key)
 
 
 def _pairwise_dedup(plans, source):
@@ -89,31 +122,124 @@ def _pairwise_dedup(plans, source):
     return kept
 
 
-def _timed(dedup, inputs):
+def _bucketed_extract_dedup(plans, source):
+    """The split-and-bucket dedup the flat key/picks version replaced.
+
+    Splits every plan into single ``Extract`` objects, buckets by the
+    same canonical key, and decides within a bucket by comparing ops.
+    """
+
+    def literal_text(extract):
+        if extract.start != extract.end or extract.start > len(source):
+            return None
+        token = source[extract.start - 1]
+        return token.literal if token.is_literal else None
+
+    def split_extracts(plan):
+        flattened = []
+        for expression in plan.expressions:
+            if isinstance(expression, Extract):
+                flattened.extend(
+                    Extract(index) for index in range(expression.start, expression.end + 1)
+                )
+            else:
+                flattened.append(expression)
+        return flattened
+
+    def interchangeable(left, right):
+        if isinstance(left, Extract) and isinstance(right, ConstStr):
+            extract, const = left, right
+        elif isinstance(left, ConstStr) and isinstance(right, Extract):
+            extract, const = right, left
+        else:
+            return False
+        return literal_text(extract) == const.text
+
+    def split_equivalent(left, right):
+        if len(left) != len(right):
+            return False
+        return all(a == b or interchangeable(a, b) for a, b in zip(left, right))
+
+    def canonical_key(split):
+        key = []
+        for op in split:
+            if isinstance(op, ConstStr):
+                key.append(op.text)
+                continue
+            text = literal_text(op)
+            key.append(op.start if text is None else text)
+        return tuple(key)
+
+    kept, buckets = [], {}
+    for plan in plans:
+        split = split_extracts(plan)
+        bucket = buckets.setdefault(canonical_key(split), [])
+        if any(split_equivalent(split, existing) for existing in bucket):
+            continue
+        bucket.append(split)
+        kept.append(plan)
+    return kept
+
+
+def _timed(function, inputs):
     start = time.perf_counter()
-    results = [dedup(plans, source) for plans, source in inputs]
+    results = [function(plans, source) for plans, source in inputs]
     return results, time.perf_counter() - start
 
 
-def test_perf_plan_dedup(suite_tasks, monkeypatch):
-    inputs = _suite_dedup_inputs(suite_tasks, monkeypatch)
-    assert inputs, "the suite deduplicated no plan list"
+def _speedups(baseline, candidate, inputs):
+    """(median speed-up of ``candidate`` over ``baseline``, all, last seconds)."""
     speedups = []
-    for _ in range(DEDUP_REPEATS):
-        reference, reference_seconds = _timed(_pairwise_dedup, inputs)
-        bucketed, bucketed_seconds = _timed(deduplicate_plans, inputs)
-        assert bucketed == reference
-        speedups.append(reference_seconds / bucketed_seconds)
-    speedup = statistics.median(speedups)
+    for _ in range(REPEATS):
+        expected, baseline_seconds = _timed(baseline, inputs)
+        actual, candidate_seconds = _timed(candidate, inputs)
+        assert actual == expected
+        speedups.append(baseline_seconds / candidate_seconds)
+    return statistics.median(speedups), speedups, (baseline_seconds, candidate_seconds)
+
+
+def test_perf_rank_plans(suite_synthesis_inputs):
+    inputs, _deduplicated = suite_synthesis_inputs
+    assert inputs, "the suite ranked no plan list"
+    speedup, speedups, seconds = _speedups(_reference_rank, rank_plans, inputs)
+    plans = sum(len(listed) for listed, _source in inputs)
+    rows_table = [
+        ("plan lists", f"{len(inputs)}", f"{plans} plans"),
+        ("five-part reference key", f"{seconds[0]:.3f} s", "last repeat"),
+        ("one-pass rank_plans", f"{seconds[1]:.3f} s", "last repeat"),
+        ("median speed-up", f"{speedup:.1f}x", f"of {REPEATS} repeats"),
+    ]
+    print("\n" + format_table(["plan ranking", "value", "detail"], rows_table))
+    assert speedup >= MIN_SPEEDUP, (
+        f"one-pass ranking is only {speedup:.2f}x the reference key "
+        f"(median of {speedups}); expected >= {MIN_SPEEDUP}x"
+    )
+
+
+def test_perf_plan_dedup(suite_synthesis_inputs):
+    _ranked, inputs = suite_synthesis_inputs
+    assert inputs, "the suite deduplicated no plan list"
+    pairwise, pairwise_speedups, pairwise_seconds = _speedups(
+        _pairwise_dedup, deduplicate_plans, inputs
+    )
+    bucketed, bucketed_speedups, bucketed_seconds = _speedups(
+        _bucketed_extract_dedup, deduplicate_plans, inputs
+    )
     plans = sum(len(ranked) for ranked, _source in inputs)
     rows_table = [
         ("plan lists", f"{len(inputs)}", f"{plans} ranked plans"),
-        ("pairwise reference", f"{reference_seconds:.3f} s", "last repeat"),
-        ("bucketed dedup", f"{bucketed_seconds:.3f} s", "last repeat"),
-        ("median speed-up", f"{speedup:.1f}x", f"of {DEDUP_REPEATS} repeats"),
+        ("pairwise reference", f"{pairwise_seconds[0]:.3f} s", "last repeat"),
+        ("split-and-bucket (Extract ops)", f"{bucketed_seconds[0]:.3f} s", "last repeat"),
+        ("flat key/picks dedup", f"{bucketed_seconds[1]:.3f} s", "last repeat"),
+        ("median speed-up vs pairwise", f"{pairwise:.1f}x", f"of {REPEATS} repeats"),
+        ("median speed-up vs split-and-bucket", f"{bucketed:.1f}x", f"of {REPEATS} repeats"),
     ]
     print("\n" + format_table(["plan dedup", "value", "detail"], rows_table))
-    assert speedup >= DEDUP_MIN_SPEEDUP, (
-        f"bucketed dedup is only {speedup:.2f}x the pairwise loop "
-        f"(median of {speedups}); expected >= {DEDUP_MIN_SPEEDUP}x"
+    assert pairwise >= MIN_SPEEDUP, (
+        f"flat dedup is only {pairwise:.2f}x the pairwise loop "
+        f"(median of {pairwise_speedups}); expected >= {MIN_SPEEDUP}x"
+    )
+    assert bucketed >= MIN_SPEEDUP, (
+        f"flat dedup is only {bucketed:.2f}x the split-and-bucket version "
+        f"(median of {bucketed_speedups}); expected >= {MIN_SPEEDUP}x"
     )

@@ -23,6 +23,7 @@ Correctness assertions always apply.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import statistics
@@ -577,6 +578,96 @@ def test_perf_hot_loop_dispatch_speedup(recorder):
         assert memo_speedup >= 2.0, (
             f"memoized dispatch ({fast_seconds:.2f} s) not >=2x faster than the "
             f"memo-off loop ({naive_seconds:.2f} s) over {ROWS} rows"
+        )
+
+
+#: Rows in the CSV chunk-encoder row (wide_parts-shaped, 4 cells each).
+ENCODER_ROWS = min(ROWS, 50_000)
+
+#: Timed repeats of the encoder row; the verdict is their median.
+ENCODER_REPEATS = 3
+
+#: The one-``writerows`` encoder stays only if it wins by this much.
+ENCODER_MIN_SPEEDUP = 1.2
+
+
+def _per_row_encode(rows, delimiter=","):
+    """The encoder the one-``writerows`` fast path replaced: ``\\r`` check per row."""
+    from repro.engine.serialize import _quoted_cell
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
+    for row in rows:
+        if any(isinstance(cell, str) and "\r" in cell for cell in row):
+            buffer.write(
+                delimiter.join(_quoted_cell(str(cell), delimiter) for cell in row) + "\n"
+            )
+        else:
+            writer.writerow(row)
+    return buffer.getvalue()
+
+
+def _wide_rows(count):
+    """Rows shaped like wide_parts output: id, quoted name, code, note."""
+    from repro.util.rand import make_rng
+
+    rng = make_rng(61)
+    words = ["alpha", "beta", "gamma", "delta", "follow-up", "review", "pending"]
+    rows = []
+    for index in range(count):
+        note = rng.choices(words, k=rng.randrange(6, 14))
+        if rng.random() < 0.3:
+            note.insert(1, '"quoted"')
+        if rng.random() < 0.05:
+            note.insert(1, "\n")
+        code = f"[CPT-{rng.randrange(10_000, 100_000)}]"
+        rows.append([str(index), f"Last{index % 97}, F.", code, " ".join(note)])
+    return rows
+
+
+def test_perf_csv_chunk_encoder(recorder):
+    # Prove-or-remove row for the one-``writerows`` CSV chunk encoder:
+    # apply-sized chunks with no ``\r`` (the fast path), against the
+    # per-row loop it replaced, byte for byte.
+    from repro.dataset.shards import DEFAULT_TABLE_CHUNK_LINES
+    from repro.engine.serialize import encode_rows_csv
+
+    rows = _wide_rows(ENCODER_ROWS)
+    chunks = [
+        rows[start : start + DEFAULT_TABLE_CHUNK_LINES]
+        for start in range(0, len(rows), DEFAULT_TABLE_CHUNK_LINES)
+    ]
+
+    def timed_pair(chunk):
+        # Both encoders back to back on one chunk, so a slow spell of the
+        # host lands on both sides of the ratio.
+        start = time.perf_counter()
+        reference = _per_row_encode(chunk)
+        middle = time.perf_counter()
+        encoded = encode_rows_csv(chunk)
+        end = time.perf_counter()
+        assert encoded == reference
+        return middle - start, end - middle
+
+    speedups = []
+    for _ in range(ENCODER_REPEATS):
+        timings = [timed_pair(chunk) for chunk in chunks]
+        reference_seconds = sum(pair[0] for pair in timings)
+        encoded_seconds = sum(pair[1] for pair in timings)
+        speedups.append(reference_seconds / encoded_seconds)
+    speedup = statistics.median(speedups)
+    recorder["csv_chunk_encoder"] = {"rows": ENCODER_ROWS, "speedup": speedup}
+    rows_table = [
+        ("rows / chunks", f"{ENCODER_ROWS}", f"{len(chunks)} chunks"),
+        ("per-row loop", f"{reference_seconds:.3f} s", "last repeat"),
+        ("one writerows", f"{encoded_seconds:.3f} s", "last repeat"),
+        ("median speed-up", f"{speedup:.2f}x", f"of {ENCODER_REPEATS} repeats"),
+    ]
+    print("\n" + format_table(["csv chunk encoder", "value", "detail"], rows_table))
+    if not SMOKE:
+        assert speedup >= ENCODER_MIN_SPEEDUP, (
+            f"one-writerows encoder is only {speedup:.2f}x the per-row loop "
+            f"(median of {speedups}); expected >= {ENCODER_MIN_SPEEDUP}x"
         )
 
 

@@ -8,89 +8,74 @@ effort, so only the simplest representative of each equivalence class is
 kept.
 
 Deduplication compares a plan only with the kept plans that share its
-*canonical key* (:func:`_canonical_key`): equivalent plans always share a
-key, so no equivalent pair is missed.  The key is a filter, not the
-verdict — the pairwise relation is not transitive (``Extract(i)`` and
-``Extract(j)`` of the same literal are each equivalent to its
-``ConstStr`` but not to each other), so the exact pairwise check still
-decides within a bucket.
+*canonical key*: equivalent plans always share a key, so no equivalent
+pair is missed.  The key is a filter, not the verdict — the pairwise
+relation is not transitive (``Extract(i)`` and ``Extract(j)`` of the
+same literal are each equivalent to its ``ConstStr`` but not to each
+other), so the exact pairwise check still decides within a bucket.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.dsl.ast import AtomicPlan, ConstStr, Extract, StringExpression
+from repro.dsl.ast import AtomicPlan, ConstStr
 from repro.patterns.pattern import Pattern
 
 #: A plan's canonical key: token indices and constant texts.
 _Key = Tuple[Union[int, str], ...]
 
+#: Per split op, the source index of a literal extract, else 0.  Only
+#: compared position by position, so it stays the list it is built as.
+_Picks = List[int]
 
-def _split_extracts(plan: AtomicPlan) -> List[StringExpression]:
-    """Step 1 of Appendix B: split ``Extract(m, n)`` into single extracts."""
-    flattened: List[StringExpression] = []
-    for expression in plan.expressions:
-        if isinstance(expression, Extract):
-            flattened.extend(Extract(index) for index in range(expression.start, expression.end + 1))
-        else:
-            flattened.append(expression)
-    return flattened
+#: Literal text by 1-based source index; ``None`` for class tokens.
+_Literals = List[Optional[str]]
 
 
-def _literal_text(extract: Extract, source: Pattern) -> Optional[str]:
-    """The text of the literal source token a single ``Extract`` copies, if any."""
-    if extract.start != extract.end:
-        return None
-    if extract.start > len(source):
-        return None
-    token = source[extract.start - 1]
-    return token.literal if token.is_literal else None
+def _literal_table(source: Pattern) -> _Literals:
+    """The text of each literal source token, by 1-based index."""
+    return [None] + [token.literal if token.is_literal else None for token in source]
 
 
-def _operations_interchangeable(
-    left: StringExpression, right: StringExpression, source: Pattern
-) -> bool:
-    """Step 2(b): one op extracts a constant whose text equals the other's ConstStr."""
-    if isinstance(left, Extract) and isinstance(right, ConstStr):
-        extract, const = left, right
-    elif isinstance(left, ConstStr) and isinstance(right, Extract):
-        extract, const = right, left
-    else:
-        return False
-    return _literal_text(extract, source) == const.text
+def _split(plan: AtomicPlan, literals: _Literals) -> Tuple[_Key, _Picks]:
+    """Split ``plan`` into its canonical key and its literal picks.
 
-
-def _split_equivalent(
-    left: Sequence[StringExpression], right: Sequence[StringExpression], source: Pattern
-) -> bool:
-    """The pairwise check of Appendix B over two already-split plans."""
-    if len(left) != len(right):
-        return False
-    for left_op, right_op in zip(left, right):
-        if left_op == right_op:
-            continue
-        if _operations_interchangeable(left_op, right_op, source):
-            continue
-        return False
-    return True
-
-
-def _canonical_key(split: Sequence[StringExpression], source: Pattern) -> _Key:
-    """``split`` with every extract of a literal token rewritten to its text.
-
-    A ``ConstStr`` keys as its text and any other extract as its token
-    index, so aligned ops that are equal or interchangeable share a key
-    element and equivalent plans always share a key.
+    Step 1 of Appendix B splits ``Extract(m, n)`` into single extracts.
+    Each split op keys as a ``ConstStr``'s text, a literal extract's
+    literal, or any other extract's index (also one past the source, which
+    copies nothing), so aligned ops that are equal or interchangeable share
+    a key element.  ``picks`` holds the index a literal extract copies and
+    0 for every other op: it is what the key forgets.
     """
     key: List[Union[int, str]] = []
-    for op in split:
-        if isinstance(op, ConstStr):
-            key.append(op.text)
+    picks: List[int] = []
+    size = len(literals)
+    for expression in plan.expressions:
+        if isinstance(expression, ConstStr):
+            key.append(expression.text)
+            picks.append(0)
             continue
-        text = _literal_text(op, source)
-        key.append(op.start if text is None else text)
-    return tuple(key)
+        for index in range(expression.start, expression.end + 1):
+            text = literals[index] if index < size else None
+            if text is None:
+                key.append(index)
+                picks.append(0)
+            else:
+                key.append(text)
+                picks.append(index)
+    return tuple(key), picks
+
+
+def _split_equivalent(left: _Picks, right: _Picks) -> bool:
+    """Step 2 of Appendix B for two plans with equal canonical keys.
+
+    Equal key elements are equal ops or interchangeable ones (an extract
+    of a literal versus its text as ``ConstStr``) unless both are extracts
+    of *different* occurrences of the same literal — the one case where
+    both picks are non-zero and unequal.
+    """
+    return all(a == b or not a or not b for a, b in zip(left, right))
 
 
 def plans_equivalent(first: AtomicPlan, second: AtomicPlan, source: Pattern) -> bool:
@@ -101,7 +86,10 @@ def plans_equivalent(first: AtomicPlan, second: AtomicPlan, source: Pattern) -> 
     of aligned operations must be identical or interchangeable (an
     extract of a constant source token versus the same text as ConstStr).
     """
-    return _split_equivalent(_split_extracts(first), _split_extracts(second), source)
+    literals = _literal_table(source)
+    first_key, first_picks = _split(first, literals)
+    second_key, second_picks = _split(second, literals)
+    return first_key == second_key and _split_equivalent(first_picks, second_picks)
 
 
 def deduplicate_plans(plans: Sequence[AtomicPlan], source: Pattern) -> List[AtomicPlan]:
@@ -119,13 +107,14 @@ def deduplicate_plans(plans: Sequence[AtomicPlan], source: Pattern) -> List[Atom
         The ranked plans with equivalent duplicates removed, preserving
         order.
     """
+    literals = _literal_table(source)
     kept: List[AtomicPlan] = []
-    buckets: Dict[_Key, List[List[StringExpression]]] = {}
+    buckets: Dict[_Key, List[_Picks]] = {}
     for plan in plans:
-        split = _split_extracts(plan)
-        bucket = buckets.setdefault(_canonical_key(split, source), [])
-        if any(_split_equivalent(split, existing, source) for existing in bucket):
+        key, picks = _split(plan, literals)
+        bucket = buckets.setdefault(key, [])
+        if any(_split_equivalent(picks, existing) for existing in bucket):
             continue
-        bucket.append(split)
+        bucket.append(picks)
         kept.append(plan)
     return kept

@@ -10,10 +10,11 @@ are offered as repair alternatives.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dsl.ast import AtomicPlan, Extract, StringExpression
-from repro.dsl.mdl import plan_description_length
+from repro.dsl.mdl import OPERATION_TYPES, expression_cost
 from repro.patterns.pattern import Pattern
 from repro.synthesis.dag import AlignmentDAG
 
@@ -130,20 +131,61 @@ def rank_plans(
     fewer expressions, and finally the plan's string form, so ranking is
     fully deterministic.
 
+    The sort key is ``(overlap_violations, plan_description_length,
+    monotonicity_violations, len, str)`` of each plan, computed in one
+    pass over its expressions.  DAG edge expressions are shared objects,
+    so each distinct object's span bitmask, cost and text is computed
+    once per call, looked up by identity: hashing the frozen dataclasses
+    by value costs more than it saves.  The plans keep every expression
+    alive for the whole call, so no ``id`` is reused within it.
+
     Args:
         plans: Candidate plans for one source pattern.
         source: The candidate source pattern (its length parameterizes the
             Extract cost in the MDL formula).
     """
     source_length = max(1, len(source))
+    model_cost = math.log2(OPERATION_TYPES)
+    facts: Dict[int, Tuple[int, int, int, float, str]] = {}
+
+    def expression_facts(expression: StringExpression) -> Tuple[int, int, int, float, str]:
+        cost = expression_cost(expression, source_length)
+        if isinstance(expression, Extract):
+            start, end = expression.start, expression.end
+            # Bits start..end: the source tokens the extract copies.
+            span = (1 << (end + 1)) - (1 << start)
+            return span, start, end, cost, str(expression)
+        # A ConstStr copies no source token; its empty span skips both checks.
+        return 0, 0, 0, cost, str(expression)
 
     def key(plan: AtomicPlan):
+        used = overlaps = backwards = last_end = 0
+        costs: List[float] = []
+        texts: List[str] = []
+        for expression in plan.expressions:
+            entry = facts.get(id(expression))
+            if entry is None:
+                entry = facts[id(expression)] = expression_facts(expression)
+            span, start, end, cost, text = entry
+            if span:
+                if span & used:
+                    overlaps += 1
+                used |= span
+                if start <= last_end:
+                    backwards += 1
+                if end > last_end:
+                    last_end = end
+            costs.append(cost)
+            texts.append(text)
+        # ``sum`` over the plan-ordered list, as plan_description_length
+        # does: a running ``+=`` can round differently from the
+        # compensated float ``sum`` of Python 3.12+ and reorder MDL ties.
         return (
-            overlap_violations(plan),
-            plan_description_length(plan, source_length),
-            monotonicity_violations(plan),
-            len(plan),
-            str(plan),
+            overlaps,
+            len(costs) * model_cost + sum(costs),
+            backwards,
+            len(costs),
+            "Concat(" + ", ".join(texts) + ")",
         )
 
     return sorted(plans, key=key)

@@ -44,6 +44,7 @@ from repro.synthesis.plans import enumerate_plans, rank_plans
 from repro.synthesis.validate import validate_source
 from repro.tokens.token import Token
 from repro.util.errors import SynthesisError
+from repro.util.validate import validated_positive_int
 
 
 @dataclass
@@ -100,7 +101,7 @@ class SynthesisResult:
         return CompiledProgram(self.program, self.target, metadata=metadata)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Synthesizer:
     """Configurable UniFi synthesizer.
 
@@ -116,11 +117,23 @@ class Synthesizer:
             candidate-list contract: widening it changes the repair
             alternatives (e.g. 46 → 50 candidates for the suite's name
             tasks' ``<U>+<L>+'.'' '<U>+<L>+' '<U>+<L>+`` source).
+
+    Every knob must be an integer >= 1: zero would report every pattern
+    as uncovered, and a negative value would slice candidates off the
+    end of the ranked list.  The knobs are checked once, at construction,
+    so the instance is frozen.
+
+    Raises:
+        ValidationError: On a knob that is not a positive integer.
     """
 
     max_plans_per_source: int = 5_000
     keep_candidates: int = 50
     dedup_window: int = 200
+
+    def __post_init__(self) -> None:
+        for name in ("max_plans_per_source", "keep_candidates", "dedup_window"):
+            validated_positive_int(getattr(self, name), name)
 
     def synthesize(self, hierarchy: PatternHierarchy, target: Pattern) -> SynthesisResult:
         """Run Algorithm 2 over ``hierarchy`` for ``target``.

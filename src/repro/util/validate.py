@@ -14,6 +14,10 @@ exception: the table APIs (``transform_table`` /
 for backward compatibility, and only route explicit values through
 this check.
 
+:func:`validated_positive_int` is the shared check behind both, and
+behind the :class:`~repro.synthesis.synthesizer.Synthesizer` knobs
+(``max_plans_per_source``, ``keep_candidates``, ``dedup_window``).
+
 :func:`validated_delimiter` guards the one CSV knob every read and
 write path shares; :mod:`repro.util.csvio` runs it when it first builds
 a delimiter's record scanners, and the CLI runs it on ``--delimiter``.
@@ -27,6 +31,17 @@ from typing import Optional
 from repro.util.errors import ValidationError
 
 
+def validated_positive_int(value: int, name: str) -> int:
+    """Validate a count that must be a positive integer (``bool`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(
+            f"{name} must be a positive integer, got {type(value).__name__}"
+        )
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def validated_workers(workers: Optional[int], name: str = "workers") -> int:
     """Resolve and validate a worker count.
 
@@ -35,24 +50,12 @@ def validated_workers(workers: Optional[int], name: str = "workers") -> int:
     """
     if workers is None:
         return os.cpu_count() or 1
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ValidationError(
-            f"{name} must be a positive integer, got {type(workers).__name__}"
-        )
-    if workers < 1:
-        raise ValidationError(f"{name} must be >= 1, got {workers}")
-    return workers
+    return validated_positive_int(workers, name)
 
 
 def validated_chunk_size(chunk_size: int, name: str = "chunk_size") -> int:
     """Validate a chunk size (must be a positive integer)."""
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
-        raise ValidationError(
-            f"{name} must be a positive integer, got {type(chunk_size).__name__}"
-        )
-    if chunk_size < 1:
-        raise ValidationError(f"{name} must be >= 1, got {chunk_size}")
-    return chunk_size
+    return validated_positive_int(chunk_size, name)
 
 
 def validated_memo_size(memo_size: int, name: str = "memo_size") -> int:

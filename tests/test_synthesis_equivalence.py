@@ -89,11 +89,42 @@ class TestDeduplicatePlans:
         assert deduplicate_plans([const, first, second], source) == [const]
 
 
+def _split_reference(plan):
+    """Step 1 of Appendix B: every ``Extract(m, n)`` as single extracts."""
+    split = []
+    for op in plan.expressions:
+        if isinstance(op, Extract):
+            split.extend(Extract(index) for index in range(op.start, op.end + 1))
+        else:
+            split.append(op)
+    return split
+
+
+def _equivalent_reference(first, second, source):
+    """Step 2 of Appendix B, op by op, independent of the module's helpers."""
+
+    def literal(op):
+        if isinstance(op, Extract) and op.start <= len(source):
+            token = source[op.start - 1]
+            return token.literal if token.is_literal else None
+        return None
+
+    def interchangeable(left, right):
+        if isinstance(left, ConstStr) and isinstance(right, Extract):
+            left, right = right, left
+        return isinstance(right, ConstStr) and literal(left) == right.text
+
+    left, right = _split_reference(first), _split_reference(second)
+    return len(left) == len(right) and all(
+        a == b or interchangeable(a, b) for a, b in zip(left, right)
+    )
+
+
 def _pairwise_reference(plans, source):
     """Deduplication by comparing each plan with every kept plan."""
     kept = []
     for plan in plans:
-        if any(plans_equivalent(plan, existing, source) for existing in kept):
+        if any(_equivalent_reference(plan, existing, source) for existing in kept):
             continue
         kept.append(plan)
     return kept
@@ -105,9 +136,11 @@ _CLASS_TOKENS = ("<D>2", "<D>+", "<L>+", "<U>", "<AN>+")
 
 def _random_source(rng):
     parts = []
+    # Few distinct literals, so a source often holds one literal twice.
+    literals = rng.sample(_LITERALS, rng.randint(1, 2))
     for _ in range(rng.randint(1, 6)):
         if rng.random() < 0.5:
-            parts.append(f"'{rng.choice(_LITERALS)}'")
+            parts.append(f"'{rng.choice(literals)}'")
         else:
             parts.append(rng.choice(_CLASS_TOKENS))
     return parse_pattern("".join(parts))
@@ -118,10 +151,15 @@ def _random_plan(rng, source):
     ops = []
     for _ in range(rng.randint(1, 4)):
         roll = rng.random()
-        if roll < 0.5:
-            # Up to one index past the source, which is never a literal.
-            start = rng.randint(1, len(source) + 1)
-            ops.append(Extract(start, rng.randint(start, min(start + 2, len(source) + 1))))
+        if roll < 0.3:
+            # A range that may span literal and class tokens and run up
+            # to three indices past the source, which are never literals.
+            start = rng.randint(1, len(source) + 3)
+            ops.append(Extract(start, rng.randint(start, start + 3)))
+        elif roll < 0.55:
+            # A single-token extract: of a literal (possibly one of several
+            # occurrences of the same text), a class token, or past the end.
+            ops.append(Extract(rng.randint(1, len(source) + 2)))
         elif roll < 0.8 and literals:
             ops.append(ConstStr(rng.choice(literals)))
         else:
@@ -140,3 +178,33 @@ class TestDeduplicateProperties:
             assert deduplicate_plans(plans, source) == _pairwise_reference(
                 plans, source
             ), (source.notation(), [str(list(map(str, p))) for p in plans])
+
+    def test_plans_equivalent_equals_reference(self, property_rng):
+        for _ in range(2000):
+            source = _random_source(property_rng)
+            first = _random_plan(property_rng, source)
+            second = _random_plan(property_rng, source)
+            expected = _equivalent_reference(first, second, source)
+            assert plans_equivalent(first, second, source) == expected, (
+                source.notation(), str(first), str(second)
+            )
+
+    def test_extracts_of_repeated_literals(self):
+        source = parse_pattern("<D>2'/'<D>2'/'<D>4'/'")
+        slash = ConstStr("/")
+        plans = [
+            AtomicPlan((Extract(1), Extract(2), Extract(3))),
+            AtomicPlan((Extract(1), Extract(4), Extract(3))),  # another '/': kept
+            AtomicPlan((Extract(1), slash, Extract(3))),  # ~ plans[0]
+            AtomicPlan((Extract(1, 2), Extract(6))),
+            AtomicPlan((Extract(1), slash, slash)),  # ~ plans[3]
+            AtomicPlan((Extract(1), Extract(4), Extract(6))),  # picks differ: kept
+            AtomicPlan((Extract(1), Extract(4, 6))),  # spans '/', <D>4, '/'
+            AtomicPlan((Extract(1), Extract(4), Extract(5), slash)),  # ~ plans[6]
+            AtomicPlan((Extract(1), Extract(7, 8), slash)),  # past the end
+            AtomicPlan((Extract(1), Extract(7), Extract(8), Extract(6))),  # ~ plans[8]
+            AtomicPlan((Extract(1), Extract(8), Extract(7), slash)),  # order matters: kept
+        ]
+        kept = deduplicate_plans(plans, source)
+        assert kept == _pairwise_reference(plans, source)
+        assert kept == [plans[index] for index in (0, 1, 3, 5, 6, 8, 10)]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.clustering.profiler import PatternProfiler, profile
+from repro.core.session import CLXSession
 from repro.core.transformer import transform_column
 from repro.patterns.parse import parse_pattern
 from repro.synthesis.synthesizer import Synthesizer, synthesize
-from repro.util.errors import SynthesisError
+from repro.util.errors import SynthesisError, ValidationError
 
 
 class TestSynthesizeOnPhones:
@@ -108,3 +111,40 @@ class TestHierarchyTraversal:
             repaired = result.repaired(source, alternatives[1])
             assert repaired.program.branch_for(source).plan == alternatives[1]
             assert result.program.branch_for(source).plan == alternatives[0]
+
+
+PHONE_TRIO = ["555-123-4567", "(555) 123 4567", "555.123.4567"]
+PAREN_SPACE_TARGET = "'('<D>3')'' '<D>3' '<D>4"
+KNOBS = ("max_plans_per_source", "keep_candidates", "dedup_window")
+
+
+class TestKnobValidation:
+    """Each knob must be an int >= 1, checked when the synthesizer is built."""
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    @pytest.mark.parametrize("value", [0, -1, True, 1.5, "5", None])
+    def test_rejects_non_positive_or_non_int(self, knob, value):
+        with pytest.raises(ValidationError, match=knob):
+            Synthesizer(**{knob: value})
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_rejected_through_session(self, knob):
+        with pytest.raises(ValidationError, match=knob):
+            CLXSession(PHONE_TRIO, synthesizer=Synthesizer(**{knob: 0}))
+
+    def test_knobs_cannot_be_changed_after_validation(self):
+        synthesizer = Synthesizer()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            synthesizer.keep_candidates = 0  # type: ignore[misc]
+
+    def test_one_candidate_keeps_the_default_plan(self):
+        default = CLXSession(PHONE_TRIO)
+        single = CLXSession(PHONE_TRIO, synthesizer=Synthesizer(keep_candidates=1))
+        for session in (default, single):
+            session.label_target(parse_pattern(PAREN_SPACE_TARGET))
+        full, kept = default.synthesize(), single.synthesize()
+        assert len(kept.program) == len(full.program) == 2
+        assert kept.uncovered == []
+        for source, plans in kept.candidates.items():
+            assert plans == full.candidates[source][:1]
+        assert single.transform().outputs == ["(555) 123 4567"] * 3
