@@ -1,8 +1,11 @@
-"""Output-language flow analysis: what a compiled program *produces*.
+"""One program's dispatch model, and what the program *produces*.
 
-The passes in :mod:`repro.analysis.passes` reason about the **input**
-side of each branch (which values reach it).  This module adds the
-output side: a symbolic interpreter lifts each branch's
+:class:`ProgramLanguages` is the single model of how a compiled program
+dispatches — atom alphabet, NFAs, symbolic outputs, and each arm's
+fate — that every pass in :mod:`repro.analysis.passes` and here reads.
+Those passes reason about the **input** side of each branch (which
+values reach it).  This module adds the output side: a symbolic
+interpreter lifts each branch's
 :class:`~repro.dsl.ast.AtomicPlan` into an output *pattern* — and hence,
 via :mod:`repro.analysis.lang`, into an output-language ChainNFA:
 
@@ -33,8 +36,9 @@ malformed value it didn't already receive.
 **Idempotence / fixpoint safety (CLX017/CLX018).**  A conforming branch
 is automatically idempotent: its outputs hit the target pass-through on
 a second apply.  A *non*-conforming output that re-enters some branch's
-dispatch language (outside the target) with a non-identity plan means
-``apply ∘ apply ≠ apply`` — re-runs and streaming tails double-transform.
+dispatch language with a non-identity plan — outside everything
+first-match dispatch tries before that branch — means
+``apply ∘ apply ≠ apply``: re-runs and streaming tails double-transform.
 
 **Pipeline composition (CLX019–CLX021).**  When several artifacts apply
 together and artifact C reads the default output column of artifact P
@@ -46,7 +50,8 @@ fails in the pre-flight instead of corrupting data.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, finding
 from repro.analysis.lang import (
@@ -112,7 +117,8 @@ def plan_conforms(pattern: Pattern, plan: AtomicPlan, target: Pattern) -> bool:
     )
 
 
-def _branch_location(name: str, index: int) -> str:
+def branch_location(name: str, index: int) -> str:
+    """1-based branch anchor, matching how programs are explained."""
     return f"{name}:branch[{index + 1}]"
 
 
@@ -125,82 +131,148 @@ def _guard_keywords(branches: Iterable[Branch]) -> List[str]:
     return keywords
 
 
-def _live_indices(
-    compiled: CompiledProgram,
-    nfas: Sequence[ChainNFA],
-    target_nfa: ChainNFA,
-    atoms: Sequence[str],
-) -> List[int]:
-    """Branches that can fire under first-match dispatch.
-
-    Mirrors ``check_reachability`` (subsumption by the target plus
-    earlier unguarded branches) and additionally drops branches whose
-    guard is unsatisfiable on their pattern — both kinds are reported by
-    their own rules; the flow verdicts only speak about live arms.
-    """
-    live: List[int] = []
-    earlier_unguarded: List[ChainNFA] = []
-    for index, branch in enumerate(compiled.program.branches):
-        machine = nfas[index]
-        dead = subsumed_by_union(machine, [target_nfa, *earlier_unguarded], atoms)
-        guard = branch.guard
-        if not dead and isinstance(guard, ContainsGuard):
-            dead = not guard_satisfiable(machine, guard.keyword, atoms, guard.case_sensitive)
-        if not dead:
-            live.append(index)
-        if branch.guard is None:
-            earlier_unguarded.append(machine)
-    return live
+#: Why a branch can never fire: subsumed by the target (CLX001), by the
+#: target plus earlier unguarded branches (CLX002), or its guard never
+#: holds on its pattern (CLX010).  ``None`` means the arm is live.
+Fate = Optional[Literal["target", "shadowed", "guard"]]
 
 
-class FlowAnalysis:
-    """Shared machinery for one program's output-language verdicts.
+class ProgramLanguages:
+    """One program's dispatch model, shared by every analyzer pass.
 
-    Builds a single atom alphabet distinguishing the target, every
-    branch pattern, every symbolic output pattern, and every guard
-    keyword, so all queries below run over one consistent quotient.
+    The atom alphabet distinguishes the target, every branch pattern,
+    every symbolic output pattern, every guard keyword (with its case
+    foldings) and any ``extra_patterns`` (profiled leaves for the
+    coverage audit), so input-side and output-side queries run over one
+    consistent quotient.  A finer alphabet never changes a yes/no
+    language answer; the flow witnesses are shortest strings over
+    exactly this alphabet.  ``atoms`` overrides the alphabet when
+    several programs must share one (chained artifacts).
+
+    Each branch's fate is decided lazily and once: one union search
+    against :meth:`dispatch_before`, a target-only search only for dead
+    arms (CLX001 vs CLX002), and a guard search only for guarded arms
+    that union search leaves reachable.  Guard answers are cached, so
+    CLX010 (asked of every guarded arm) repeats no search.
     """
 
-    def __init__(self, compiled: CompiledProgram) -> None:
+    def __init__(
+        self,
+        compiled: CompiledProgram,
+        extra_patterns: Sequence[Pattern] = (),
+        atoms: Optional[Sequence[str]] = None,
+    ) -> None:
         self.compiled = compiled
-        branches = compiled.program.branches
+        self.branches: Tuple[Branch, ...] = compiled.program.branches
         self.outputs: Tuple[Pattern, ...] = tuple(
-            branch_output_pattern(branch) for branch in branches
+            branch_output_pattern(branch) for branch in self.branches
         )
-        patterns = [compiled.target, *(branch.pattern for branch in branches), *self.outputs]
-        self.atoms = atom_alphabet(patterns, extra_text=_guard_keywords(branches))
-        self.target_nfa = pattern_nfa(compiled.target, self.atoms)
-        self.branch_nfas: Tuple[ChainNFA, ...] = tuple(
-            pattern_nfa(branch.pattern, self.atoms) for branch in branches
-        )
-        self.output_nfas: Tuple[ChainNFA, ...] = tuple(
-            pattern_nfa(output, self.atoms) for output in self.outputs
-        )
-        self.live: List[int] = _live_indices(
-            compiled, self.branch_nfas, self.target_nfa, self.atoms
-        )
+        if atoms is None:
+            patterns = [compiled.target, *(branch.pattern for branch in self.branches)]
+            atoms = atom_alphabet(
+                [*patterns, *self.outputs, *extra_patterns],
+                extra_text=_guard_keywords(self.branches),
+            )
+        self.atoms: Tuple[str, ...] = tuple(atoms)
+        self._nfas: Dict[Pattern, ChainNFA] = {}
+        self._guard_can_hold: Dict[int, bool] = {}
+
+    def nfa(self, pattern: Pattern) -> ChainNFA:
+        machine = self._nfas.get(pattern)
+        if machine is None:
+            machine = pattern_nfa(pattern, self.atoms)
+            self._nfas[pattern] = machine
+        return machine
+
+    @cached_property
+    def target_nfa(self) -> ChainNFA:
+        return self.nfa(self.compiled.target)
+
+    @cached_property
+    def branch_nfas(self) -> Tuple[ChainNFA, ...]:
+        return tuple(self.nfa(branch.pattern) for branch in self.branches)
+
+    def dispatch_before(self, index: int) -> List[ChainNFA]:
+        """The languages first-match dispatch tries before branch ``index``.
+
+        The target (the pass-through check runs first), then every
+        earlier *unguarded* branch — an earlier guarded branch may
+        decline a value, so it captures nothing for sure.
+        """
+        return [
+            self.target_nfa,
+            *(
+                self.branch_nfas[earlier]
+                for earlier in range(index)
+                if self.branches[earlier].guard is None
+            ),
+        ]
+
+    def guard_can_hold(self, index: int) -> bool:
+        """Whether branch ``index``'s guard (if any) holds on some match."""
+        known = self._guard_can_hold.get(index)
+        if known is None:
+            guard = self.branches[index].guard
+            known = not isinstance(guard, ContainsGuard) or guard_satisfiable(
+                self.branch_nfas[index], guard.keyword, self.atoms, guard.case_sensitive
+            )
+            self._guard_can_hold[index] = known
+        return known
+
+    @cached_property
+    def fates(self) -> Tuple[Fate, ...]:
+        """Each branch's :data:`Fate` under first-match dispatch — exact."""
+        fates: List[Fate] = []
+        for index, machine in enumerate(self.branch_nfas):
+            before = self.dispatch_before(index)
+            fate: Fate = None
+            if subsumed_by_union(machine, before, self.atoms):
+                target_only = len(before) == 1 or subsumed_by_union(
+                    machine, before[:1], self.atoms
+                )
+                fate = "target" if target_only else "shadowed"
+            elif not self.guard_can_hold(index):
+                fate = "guard"
+            fates.append(fate)
+        return tuple(fates)
+
+    @cached_property
+    def live(self) -> Tuple[int, ...]:
+        """Branches that can fire under first-match dispatch."""
+        return tuple(index for index, fate in enumerate(self.fates) if fate is None)
+
+    def shadowers(self, index: int) -> List[int]:
+        """1-based earlier unguarded branches that alone subsume ``index``."""
+        machine = self.branch_nfas[index]
+        return [
+            earlier + 1
+            for earlier in range(index)
+            if self.branches[earlier].guard is None
+            and subsumed_by_union(machine, [self.branch_nfas[earlier]], self.atoms)
+        ]
 
     def conformance_witness(self, index: int) -> Optional[str]:
         """Shortest output of branch ``index`` outside the target language."""
-        return difference_witness(self.output_nfas[index], [self.target_nfa], self.atoms)
+        return difference_witness(self.nfa(self.outputs[index]), [self.target_nfa], self.atoms)
 
     def reentry(self, index: int) -> Optional[Tuple[int, str]]:
         """First live branch whose dispatch captures branch ``index``'s output.
 
-        Only captures *outside* the target language count — a conforming
-        output hits the pass-through before any branch is consulted.
+        A capture counts only where dispatch actually reaches the
+        capturing branch: outside the target (a conforming output hits
+        the pass-through) and outside every earlier unguarded branch.
         Branches with identity plans are skipped (re-matching them
         rewrites nothing).  Returns ``(capturing_index, witness)``.
         """
-        branches = self.compiled.program.branches
+        output = self.nfa(self.outputs[index])
         for other in self.live:
-            if plan_is_identity(branches[other]):
+            if plan_is_identity(self.branches[other]):
                 continue
             witness = overlap_witness(
-                self.output_nfas[index],
+                output,
                 self.branch_nfas[other],
                 self.atoms,
-                excluding=[self.target_nfa],
+                excluding=self.dispatch_before(other),
             )
             if witness is not None:
                 return other, witness
@@ -209,46 +281,47 @@ class FlowAnalysis:
 
 def check_flow(compiled: CompiledProgram, name: str) -> List[Finding]:
     """Per-artifact flow verdicts: CLX015–CLX018."""
-    analysis = FlowAnalysis(compiled)
-    branches = compiled.program.branches
-    target = compiled.target.notation()
+    return flow_findings(ProgramLanguages(compiled), name)
+
+
+def flow_findings(languages: ProgramLanguages, name: str) -> List[Finding]:
+    """:func:`check_flow` over an already-built dispatch model."""
+    branches = languages.branches
+    target = languages.compiled.target.notation()
     findings: List[Finding] = []
-    for index in analysis.live:
+    for index in languages.live:
         branch = branches[index]
         if plan_is_identity(branch):
             continue  # re-emits its input verbatim; cannot corrupt
-        location = _branch_location(name, index)
-        output = analysis.outputs[index]
-        witness = analysis.conformance_witness(index)
+        location = branch_location(name, index)
+        output = languages.outputs[index]
+        witness = languages.conformance_witness(index)
         if witness is None:
             continue  # conforming, hence also idempotent
+        shown = output.notation() or "(empty)"
         if branch.guard is None:
-            findings.append(
-                finding(
-                    "CLX015",
-                    location,
-                    f"plan output {output.notation() or '(empty)'} escapes the target "
-                    f"{target}: e.g. input {sample_string(branch.pattern)!r} can "
-                    f"produce {witness!r}",
-                    output=output.notation(),
-                    target=target,
-                    witness=witness,
-                )
+            rule_id = "CLX015"
+            message = (
+                f"plan output {shown} escapes the target {target}: e.g. input "
+                f"{sample_string(branch.pattern)!r} can produce {witness!r}"
             )
         else:
-            findings.append(
-                finding(
-                    "CLX016",
-                    location,
-                    f"guarded branch output {output.notation() or '(empty)'} is not "
-                    f"provably inside the target {target} (e.g. {witness!r}); "
-                    "conformance is undecided",
-                    output=output.notation(),
-                    target=target,
-                    witness=witness,
-                )
+            rule_id = "CLX016"
+            message = (
+                f"guarded branch output {shown} is not provably inside the target "
+                f"{target} (e.g. {witness!r}); conformance is undecided"
             )
-        reentry = analysis.reentry(index)
+        findings.append(
+            finding(
+                rule_id,
+                location,
+                message,
+                output=output.notation(),
+                target=target,
+                witness=witness,
+            )
+        )
+        reentry = languages.reentry(index)
         if reentry is not None:
             other, captured = reentry
             if other == index:
@@ -326,47 +399,39 @@ def _check_chain(
     consumer_name: str,
     consumer: CompiledProgram,
 ) -> List[Finding]:
-    producer_flow = FlowAnalysis(producer)
+    producer_branches = producer.program.branches
     consumer_branches = consumer.program.branches
 
     # One joint alphabet so producer outputs and consumer dispatch share
     # a quotient.
     patterns = [
         producer.target,
-        *(branch.pattern for branch in producer.program.branches),
-        *producer_flow.outputs,
+        *(branch.pattern for branch in producer_branches),
+        *(branch_output_pattern(branch) for branch in producer_branches),
         consumer.target,
         *(branch.pattern for branch in consumer_branches),
     ]
-    keywords = _guard_keywords(producer.program.branches) + _guard_keywords(consumer_branches)
-    atoms = atom_alphabet(patterns, extra_text=keywords)
-
-    producer_target_nfa = pattern_nfa(producer.target, atoms)
-    producer_branch_nfas = [pattern_nfa(b.pattern, atoms) for b in producer.program.branches]
-    producer_live = _live_indices(producer, producer_branch_nfas, producer_target_nfa, atoms)
-
-    consumer_target_nfa = pattern_nfa(consumer.target, atoms)
-    consumer_branch_nfas = [pattern_nfa(b.pattern, atoms) for b in consumer_branches]
-    consumer_live = _live_indices(consumer, consumer_branch_nfas, consumer_target_nfa, atoms)
+    atoms = atom_alphabet(
+        patterns, extra_text=_guard_keywords((*producer_branches, *consumer_branches))
+    )
+    # One dispatch model per program, both over the joint alphabet.
+    made = ProgramLanguages(producer, atoms=atoms)
+    taken = ProgramLanguages(consumer, atoms=atoms)
 
     # What P provably emits: pass-through (target) + live branch outputs.
     components: List[Tuple[str, ChainNFA, Pattern]] = [
-        ("target pass-through", producer_target_nfa, producer.target)
+        ("target pass-through", made.target_nfa, producer.target)
     ]
-    for index in producer_live:
-        output = producer_flow.outputs[index]
-        components.append(
-            (f"branch {index + 1} output", pattern_nfa(output, atoms), output)
-        )
+    for index in made.live:
+        output = made.outputs[index]
+        components.append((f"branch {index + 1} output", made.nfa(output), output))
 
     # What C can match at all (guarded arms included: over-approximation
     # keeps "never accepts" sound) vs. what it *surely* matches
     # (unguarded arms only).
-    accepts_any = [consumer_target_nfa] + [consumer_branch_nfas[i] for i in consumer_live]
-    accepts_surely = [consumer_target_nfa] + [
-        consumer_branch_nfas[i]
-        for i in consumer_live
-        if consumer_branches[i].guard is None
+    accepts_any = [taken.target_nfa] + [taken.branch_nfas[i] for i in taken.live]
+    accepts_surely = [taken.target_nfa] + [
+        taken.branch_nfas[i] for i in taken.live if consumer_branches[i].guard is None
     ]
 
     findings: List[Finding] = []
@@ -407,21 +472,20 @@ def _check_chain(
             )
             break  # one leak report per chain is enough
 
-    for index in consumer_live:
-        branch = consumer_branches[index]
-        if plan_is_identity(branch):
+    for index in taken.live:
+        if plan_is_identity(consumer_branches[index]):
             continue
         witness = overlap_witness(
-            producer_target_nfa,
-            consumer_branch_nfas[index],
+            made.target_nfa,
+            taken.branch_nfas[index],
             atoms,
-            excluding=[consumer_target_nfa],
+            excluding=taken.dispatch_before(index),
         )
         if witness is not None:
             findings.append(
                 finding(
                     "CLX021",
-                    _branch_location(consumer_name, index),
+                    branch_location(consumer_name, index),
                     f"branch rewrites values already conforming to {producer_name}'s "
                     f"target ({producer.target.notation()}): e.g. {witness!r} is "
                     "transformed again",

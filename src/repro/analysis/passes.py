@@ -1,83 +1,42 @@
 """The analyzer's individual passes over one (or several) compiled programs.
 
-Each pass takes a :class:`~repro.engine.compiled.CompiledProgram` (plus
-shared language machinery from :mod:`repro.analysis.lang`) and yields
-:class:`~repro.analysis.findings.Finding` objects.  The passes mirror
-exactly how ``CompiledProgram.run_one`` dispatches — target pass-through
-first, then first matching branch, guards checked before patterns — so
-"dead" here means dead *in that dispatch order*, not merely similar.
+Each language pass reads one program's
+:class:`~repro.analysis.flow.ProgramLanguages` — its single dispatch
+model — and yields :class:`~repro.analysis.findings.Finding` objects.
+The model mirrors exactly how ``CompiledProgram.run_one`` dispatches —
+target pass-through first, then first matching branch, guards checked
+before patterns — so "dead" here means dead *in that dispatch order*,
+not merely similar.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # hierarchy types only flow in, never out
     from repro.clustering.hierarchy import PatternHierarchy
 
 from repro.analysis.findings import Finding, finding
-from repro.analysis.flow import check_flow, plan_is_identity
-from repro.analysis.lang import (
-    ChainNFA,
-    atom_alphabet,
-    guard_satisfiable,
-    keyword_always_present,
-    languages_overlap,
-    pattern_nfa,
-    subsumed_by_union,
+from repro.analysis.flow import (
+    ProgramLanguages,
+    branch_location,
+    flow_findings,
+    plan_is_identity,
 )
+from repro.analysis.lang import keyword_always_present, languages_overlap, subsumed_by_union
 from repro.analysis.redos import analyze_regex
 from repro.dsl.ast import ConstStr, Extract
 from repro.dsl.guards import ContainsGuard
 from repro.engine.compiled import CompiledProgram
 from repro.patterns.matching import compiled_with_groups
-from repro.patterns.pattern import Pattern
 from repro.patterns.regex import compile_pattern, pattern_to_regex
-
-
-def _branch_location(name: str, index: int) -> str:
-    """1-based branch anchor, matching how programs are explained."""
-    return f"{name}:branch[{index + 1}]"
-
-
-class ProgramLanguages:
-    """Shared atom alphabet + NFA cache for one program's patterns.
-
-    Built once per analyzed program; extra patterns (profiled clusters
-    for the coverage audit) can be folded in via :meth:`including`.
-    """
-
-    def __init__(self, compiled: CompiledProgram, extra_patterns: Sequence[Pattern] = ()) -> None:
-        self.compiled = compiled
-        patterns = [compiled.target, *(branch.pattern for branch in compiled.program.branches)]
-        patterns.extend(extra_patterns)
-        keywords: List[str] = []
-        for branch in compiled.program.branches:
-            guard = branch.guard
-            if isinstance(guard, ContainsGuard):
-                keywords.extend((guard.keyword, guard.keyword.lower(), guard.keyword.upper()))
-        self.atoms = atom_alphabet(patterns, extra_text=keywords)
-        self._nfas: Dict[Pattern, ChainNFA] = {}
-
-    def nfa(self, pattern: Pattern) -> ChainNFA:
-        machine = self._nfas.get(pattern)
-        if machine is None:
-            machine = pattern_nfa(pattern, self.atoms)
-            self._nfas[pattern] = machine
-        return machine
-
-    def including(self, extra_patterns: Sequence[Pattern]) -> "ProgramLanguages":
-        """A copy whose alphabet also distinguishes ``extra_patterns``."""
-        return ProgramLanguages(self.compiled, extra_patterns=extra_patterns)
 
 
 # ----------------------------------------------------------------------
 # Pass 1+2: dispatch reachability and overlap/ambiguity
 # ----------------------------------------------------------------------
 
-def check_reachability(
-    compiled: CompiledProgram, languages: ProgramLanguages, name: str
-) -> List[Finding]:
+def check_reachability(languages: ProgramLanguages, name: str) -> List[Finding]:
     """Dead arms (CLX001/CLX002) under first-match dispatch — exact.
 
     A branch is dead iff its language is contained in the union of the
@@ -86,32 +45,24 @@ def check_reachability(
     branch may decline a value, so it shadows nothing for sure).
     """
     findings: List[Finding] = []
-    atoms = languages.atoms
-    target_nfa = languages.nfa(compiled.target)
-    earlier_unguarded: List[Tuple[int, ChainNFA]] = []
-    for index, branch in enumerate(compiled.program.branches):
-        machine = languages.nfa(branch.pattern)
-        location = _branch_location(name, index)
-        if subsumed_by_union(machine, [target_nfa], atoms):
+    target = languages.compiled.target.notation()
+    for index, fate in enumerate(languages.fates):
+        if fate not in ("target", "shadowed"):
+            continue
+        pattern = languages.branches[index].pattern.notation()
+        if fate == "target":
             findings.append(
                 finding(
                     "CLX001",
-                    location,
-                    f"branch pattern {branch.pattern.notation()} is subsumed by the "
-                    f"target {compiled.target.notation()}; every match passes through "
-                    "before this branch is consulted",
-                    pattern=branch.pattern.notation(),
-                    target=compiled.target.notation(),
+                    branch_location(name, index),
+                    f"branch pattern {pattern} is subsumed by the target {target}; "
+                    "every match passes through before this branch is consulted",
+                    pattern=pattern,
+                    target=target,
                 )
             )
-        elif earlier_unguarded and subsumed_by_union(
-            machine, [target_nfa] + [m for _, m in earlier_unguarded], atoms
-        ):
-            shadowers = [
-                i + 1
-                for i, earlier in earlier_unguarded
-                if subsumed_by_union(machine, [earlier], atoms)
-            ]
+        else:
+            shadowers = languages.shadowers(index)
             if shadowers:
                 reason = f"shadowed by earlier branch(es) {shadowers}"
             else:
@@ -119,21 +70,16 @@ def check_reachability(
             findings.append(
                 finding(
                     "CLX002",
-                    location,
-                    f"branch pattern {branch.pattern.notation()} can never fire: {reason}",
-                    pattern=branch.pattern.notation(),
+                    branch_location(name, index),
+                    f"branch pattern {pattern} can never fire: {reason}",
+                    pattern=pattern,
                     shadowed_by=shadowers,
                 )
             )
-        if branch.guard is None:
-            earlier_unguarded.append((index, machine))
     return findings
 
 
-def check_overlap(
-    compiled: CompiledProgram, languages: ProgramLanguages, name: str,
-    dead_indices: Iterable[int] = (),
-) -> List[Finding]:
+def check_overlap(languages: ProgramLanguages, name: str) -> List[Finding]:
     """Order-dependent unguarded overlaps (CLX003).
 
     Two live unguarded branches with different plans whose languages
@@ -142,27 +88,26 @@ def check_overlap(
     branch order — legal, but worth a warning.
     """
     findings: List[Finding] = []
-    dead = set(dead_indices)
-    branches = compiled.program.branches
-    target_nfa = languages.nfa(compiled.target)
+    branches = languages.branches
+    fates = languages.fates
     for second in range(len(branches)):
-        if second in dead or branches[second].guard is not None:
+        if fates[second] is not None or branches[second].guard is not None:
             continue
         for first in range(second):
-            if first in dead or branches[first].guard is not None:
+            if fates[first] is not None or branches[first].guard is not None:
                 continue
             if branches[first].plan == branches[second].plan:
                 continue
             if languages_overlap(
-                languages.nfa(branches[first].pattern),
-                languages.nfa(branches[second].pattern),
+                languages.branch_nfas[first],
+                languages.branch_nfas[second],
                 languages.atoms,
-                excluding=[target_nfa],
+                excluding=[languages.target_nfa],
             ):
                 findings.append(
                     finding(
                         "CLX003",
-                        _branch_location(name, second),
+                        branch_location(name, second),
                         f"pattern {branches[second].pattern.notation()} overlaps "
                         f"branch {first + 1} ({branches[first].pattern.notation()}) "
                         "with a different plan; output depends on branch order",
@@ -194,7 +139,7 @@ def check_regex_safety(
     ]
     for index, branch in enumerate(compiled.program.branches):
         subjects.append(
-            (_branch_location(name, index), compiled_with_groups(branch.pattern).pattern)
+            (branch_location(name, index), compiled_with_groups(branch.pattern).pattern)
         )
     for location, source in subjects:
         issues, measured = analyze_regex(source)
@@ -230,14 +175,12 @@ def check_regex_safety(
 # Pass 4: plan and guard sanity
 # ----------------------------------------------------------------------
 
-def check_plan_sanity(
-    compiled: CompiledProgram, languages: ProgramLanguages, name: str
-) -> List[Finding]:
+def check_plan_sanity(languages: ProgramLanguages, name: str) -> List[Finding]:
     """Identity plans, constant outputs, unused tokens, degenerate guards."""
     findings: List[Finding] = []
-    target_match = compile_pattern(compiled.target).fullmatch
-    for index, branch in enumerate(compiled.program.branches):
-        location = _branch_location(name, index)
+    target_match = compile_pattern(languages.compiled.target).fullmatch
+    for index, branch in enumerate(languages.branches):
+        location = branch_location(name, index)
         expressions = branch.plan.expressions
 
         if plan_is_identity(branch):
@@ -293,10 +236,7 @@ def check_plan_sanity(
 
         guard = branch.guard
         if isinstance(guard, ContainsGuard):
-            machine = languages.nfa(branch.pattern)
-            if not guard_satisfiable(
-                machine, guard.keyword, languages.atoms, guard.case_sensitive
-            ):
+            if not languages.guard_can_hold(index):
                 findings.append(
                     finding(
                         "CLX010",
@@ -343,7 +283,6 @@ def check_coverage(
     """
     leaves = list(hierarchy.leaf_nodes)
     languages = ProgramLanguages(compiled, extra_patterns=[leaf.pattern for leaf in leaves])
-    atoms = languages.atoms
     cover_patterns = [compiled.target] + [
         branch.pattern for branch in compiled.program.branches if branch.guard is None
     ]
@@ -352,7 +291,7 @@ def check_coverage(
     for leaf in leaves:
         if any(pattern.subsumes(leaf.pattern) for pattern in cover_patterns):
             continue
-        if subsumed_by_union(languages.nfa(leaf.pattern), cover, atoms):
+        if subsumed_by_union(languages.nfa(leaf.pattern), cover, languages.atoms):
             continue
         samples: List[str] = []
         if leaf.cluster is not None:
@@ -423,8 +362,7 @@ def reachability_only(
     compiled: CompiledProgram, name: str
 ) -> List[Finding]:
     """The cheap pre-flight used by ``apply``: reachability, no probes."""
-    languages = ProgramLanguages(compiled)
-    return check_reachability(compiled, languages, name)
+    return check_reachability(ProgramLanguages(compiled), name)
 
 
 def analyze_compiled(
@@ -435,16 +373,11 @@ def analyze_compiled(
 ) -> List[Finding]:
     """Run every single-artifact pass over ``compiled``."""
     languages = ProgramLanguages(compiled)
-    findings = check_reachability(compiled, languages, name)
-    dead = {
-        int(f.location.rsplit("[", 1)[1].rstrip("]")) - 1
-        for f in findings
-        if f.rule_id in ("CLX001", "CLX002")
-    }
-    findings.extend(check_overlap(compiled, languages, name, dead_indices=dead))
-    findings.extend(check_flow(compiled, name))
+    findings = check_reachability(languages, name)
+    findings.extend(check_overlap(languages, name))
+    findings.extend(flow_findings(languages, name))
     findings.extend(check_regex_safety(compiled, name, probe=probe))
-    findings.extend(check_plan_sanity(compiled, languages, name))
+    findings.extend(check_plan_sanity(languages, name))
     if hierarchy is not None:
         findings.extend(check_coverage(compiled, hierarchy, name))
     return findings

@@ -84,6 +84,10 @@ class TestConformance:
         assert findings[0].location == "a.clx.json:branch[1]"
         # The witness is a concrete output outside the target language.
         assert findings[0].data["witness"] == "000"
+        assert findings[0].message == (
+            "plan output <D>3 escapes the target <D>3'-'<D>4: e.g. input "
+            "'000.0000' can produce '000'"
+        )
         assert not is_verified(findings)
 
     def test_guarded_escape_is_clx016_warn(self):
@@ -100,6 +104,11 @@ class TestConformance:
         findings = check_flow(compiled, "a.clx.json")
         assert _rules(findings) == ["CLX016"]
         assert findings[0].severity is Severity.WARN
+        assert findings[0].data["witness"] == "000"
+        assert findings[0].message == (
+            "guarded branch output <D>3 is not provably inside the target "
+            "<D>3'-'<D>4 (e.g. '000'); conformance is undecided"
+        )
         assert not is_verified(findings)
 
     def test_identity_plan_branch_is_exempt(self):
@@ -149,6 +158,12 @@ class TestIdempotence:
         )
         findings = check_flow(compiled, "a.clx.json")
         assert _rules(findings) == ["CLX015", "CLX018"]
+        reentry = findings[1]
+        assert reentry.data["witness"] == "x0"
+        assert reentry.message == (
+            "output 'x0' re-enters this branch's own dispatch ('x'<D>+); "
+            "repeated applies keep rewriting the value"
+        )
 
     def test_cross_reentry_is_clx017(self):
         # Branch 1's output <D>2 escapes the target and lands in branch
@@ -165,6 +180,45 @@ class TestIdempotence:
         reentry = findings[1]
         assert reentry.data["reenters_branch"] == 2
         assert reentry.location == "a.clx.json:branch[1]"
+        assert reentry.data["witness"] == "00"
+        assert reentry.message == (
+            "output '00' re-enters branch 2 (<D>2); applying the artifact "
+            "twice transforms it twice"
+        )
+        # A second apply really does rewrite the witness.
+        assert compiled.run_one("00").output == "#00"
+
+    def test_reentry_follows_first_match_order(self):
+        # Branch 3's output '123' escapes the target and matches branch
+        # 2's <D>+, but dispatch tries the identity arm <D>3 first: a
+        # second apply returns '123' unchanged, so no re-entry finding.
+        compiled = _compiled(
+            [
+                Branch(P("<D>3"), AtomicPlan([Extract(1)])),
+                Branch(P("<D>+"), AtomicPlan([ConstStr("x")])),
+                Branch(P("<U>3"), AtomicPlan([ConstStr("123")])),
+            ],
+            "<L>3",
+        )
+        findings = check_flow(compiled, "a.clx.json")
+        assert _rules(findings) == ["CLX015", "CLX015"]
+        assert compiled.run_one("123").output == "123"
+
+    def test_earlier_guarded_arm_does_not_hide_reentry(self):
+        # A guarded arm may decline the output, so it excludes nothing:
+        # the re-entry into branch 2 stays reported.
+        compiled = _compiled(
+            [
+                Branch(P("<D>3"), AtomicPlan([Extract(1)]), guard=ContainsGuard("9")),
+                Branch(P("<D>+"), AtomicPlan([ConstStr("x")])),
+                Branch(P("<U>3"), AtomicPlan([ConstStr("123")])),
+            ],
+            "<L>3",
+        )
+        findings = check_flow(compiled, "a.clx.json")
+        assert _rules(findings) == ["CLX015", "CLX015", "CLX017"]
+        assert findings[2].data == {"reenters_branch": 2, "witness": "123"}
+        assert compiled.run_one("123").output == "x"
 
     def test_conforming_output_never_reenters(self):
         # Conforming outputs hit the target pass-through on a second
@@ -222,6 +276,12 @@ class TestComposition:
         assert findings[0].severity is Severity.ERROR
         assert findings[0].location == "c.clx.json"
         assert findings[0].data["producer"] == "p.clx.json"
+        assert findings[0].data["example"] == "000-0000"
+        assert findings[0].message == (
+            "chained artifact (reads 'code_transformed') can never match "
+            "anything p.clx.json emits — e.g. '000-0000' hits no branch and "
+            "no pass-through; the chain is mis-ordered or mismatched"
+        )
 
     def test_matched_chain_is_clean(self):
         # The consumer shares the producer's target (its pass-through
@@ -257,6 +317,11 @@ class TestComposition:
         )
         assert _rules(findings) == ["CLX020"]
         assert findings[0].severity is Severity.WARN
+        assert findings[0].data["witness"] == "000-0000"
+        assert findings[0].message == (
+            "p.clx.json target pass-through (<D>3'-'<D>4) is not fully "
+            "consumed: e.g. '000-0000' passes through unmatched"
+        )
 
     def test_retransform_chain_is_clx021(self):
         # The consumer's branch matches values already conforming to
@@ -272,6 +337,31 @@ class TestComposition:
         )
         assert _rules(findings) == ["CLX021"]
         assert findings[0].location == "c.clx.json:branch[1]"
+        assert findings[0].data["witness"] == "000-0000"
+        assert findings[0].message == (
+            "branch rewrites values already conforming to p.clx.json's target "
+            "(<D>3'-'<D>4): e.g. '000-0000' is transformed again"
+        )
+        assert consumer.run_one("000-0000").output == "#000-0000"
+
+    def test_retransform_follows_first_match_order(self):
+        # The producer's conforming values <D>3 hit the consumer's
+        # identity arm before its rewriting <D>+ arm: nothing is
+        # transformed again.
+        producer = _compiled(
+            [Branch(P("<L>3"), AtomicPlan([ConstStr("000")]))], "<D>3", column="v"
+        )
+        consumer = _compiled(
+            [
+                Branch(P("<D>3"), AtomicPlan([Extract(1)])),
+                Branch(P("<D>+"), AtomicPlan([ConstStr("x")])),
+            ],
+            "'x'",
+            column="v_transformed",
+        )
+        findings = check_composition([("p.clx.json", producer), ("c.clx.json", consumer)])
+        assert "CLX021" not in _rules(findings)
+        assert consumer.run_one("000").output == "000"
 
     def test_chain_requires_column_metadata(self):
         anonymous = _compiled(

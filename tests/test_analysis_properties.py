@@ -19,22 +19,44 @@ And the coverage audit's subsumption fast path: token-wise
 ``Pattern.subsumes`` implies exact language inclusion on random pattern
 pairs, and ``check_coverage`` reports exactly what a union-search-only
 loop reports on every suite task (and with its first branch pruned).
+
+Finally two differentials over random programs (guarded arms, including
+unsatisfiable keywords; duplicated, widened and jointly shadowed arms):
+liveness — the dispatch model's CLX001/CLX002/CLX010 findings and live
+set equal a reference that searches reachability and flow liveness
+separately, each over its own alphabet — and re-entry — every
+CLX017/CLX018/CLX021 witness really reaches the reported branch under
+concrete first-match dispatch.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import Severity, analyze_program
-from repro.analysis.lang import atom_alphabet, pattern_nfa, subsumed_by_union
-from repro.analysis.passes import ProgramLanguages, check_coverage
+from repro.analysis import Severity, analyze_program, check_composition, check_flow
+from repro.analysis.findings import finding
+from repro.analysis.flow import branch_output_pattern
+from repro.analysis.lang import (
+    atom_alphabet,
+    guard_satisfiable,
+    pattern_nfa,
+    subsumed_by_union,
+)
+from repro.analysis.passes import (
+    ProgramLanguages,
+    check_coverage,
+    check_plan_sanity,
+    check_reachability,
+)
 from repro.bench.suite import benchmark_suite
 from repro.cli import main
 from repro.core.session import CLXSession
-from repro.dsl.ast import Branch, UniFiProgram
+from repro.dsl.ast import AtomicPlan, Branch, ConstStr, Extract, UniFiProgram
+from repro.dsl.guards import ContainsGuard
 from repro.engine.compiled import CompiledProgram
 from repro.patterns.parse import parse_pattern
 from repro.patterns.pattern import Pattern
+from repro.patterns.regex import compile_pattern
 from repro.tokens.classes import GENERALIZATION_ORDER, TokenClass
 from repro.tokens.token import PLUS, Token
 from repro.util.errors import SynthesisError
@@ -309,3 +331,286 @@ class TestCoverageAuditDifferential:
             assert rows == _union_only_coverage(pruned, hierarchy, task.task_id)
             produced += len(rows)
         assert produced >= len(suite_programs)
+
+
+# ----------------------------------------------------------------------
+# Liveness and re-entry differentials over random programs
+# ----------------------------------------------------------------------
+
+#: Guard keywords: some occur in generated patterns, some ("kg", "Zz")
+#: mostly cannot, so unsatisfiable guards are common.
+_KEYWORDS = ("-", "a", "7", "Q", "ab", "x9", "kg", "Zz")
+_CONSTANTS = ("x", "-", "1", "#", "ab", "Q7")
+
+#: Random programs per differential.
+RANDOM_PROGRAMS = 400
+
+
+def _random_pattern(rng):
+    return Pattern([_random_token(rng) for _ in range(rng.randint(1, 3))])
+
+
+def _random_plan(rng, pattern):
+    width = len(pattern)
+    if rng.random() < 0.15:
+        return AtomicPlan([Extract(1, width)])  # identity
+    expressions = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.35:
+            expressions.append(ConstStr(rng.choice(_CONSTANTS)))
+        else:
+            start = rng.randint(1, width)
+            expressions.append(Extract(start, rng.randint(start, width)))
+    return AtomicPlan(expressions)
+
+
+def _jointly_covering(pattern):
+    """Patterns whose union is ``L(pattern)`` but none of which alone is.
+
+    Splits one class token: ``<C>+`` into ``<C>`` and ``<C><C>+``, or a
+    single ``<A>`` into ``<L>`` and ``<U>``.  Empty when nothing splits.
+    """
+    tokens = list(pattern.tokens)
+    for position, token in enumerate(tokens):
+        if token.is_literal:
+            continue
+        head, tail = tokens[:position], tokens[position + 1 :]
+        if token.is_plus:
+            single = Token.base(token.klass, 1)
+            return [Pattern(head + [single] + tail), Pattern(head + [single, token] + tail)]
+        if token.klass is TokenClass.ALPHA and token.quantifier == 1:
+            return [
+                Pattern(head + [Token.base(klass, 1)] + tail)
+                for klass in (TokenClass.LOWER, TokenClass.UPPER)
+            ]
+    return []
+
+
+def _random_guard(rng):
+    if rng.random() < 0.3:
+        return ContainsGuard(rng.choice(_KEYWORDS), case_sensitive=rng.random() < 0.7)
+    return None
+
+
+def _random_program(rng):
+    """A random program exercising every way an arm can die (or not)."""
+    target = _random_pattern(rng)
+    patterns = []
+    for _ in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if patterns and roll < 0.15:
+            patterns.append(rng.choice(patterns))  # duplicated arm
+        elif patterns and roll < 0.3:  # widened arm
+            patterns.append(Pattern([_generalized(rng, t) for t in rng.choice(patterns)]))
+        elif roll < 0.4:  # near the target
+            patterns.append(Pattern([_generalized(rng, t) for t in target]))
+        elif roll < 0.55:  # joint shadowing: the split arms, then the whole
+            whole = Pattern([_generalized(rng, t) for t in _random_pattern(rng)])
+            patterns.extend(_jointly_covering(whole) + [whole])
+        else:
+            patterns.append(_random_pattern(rng))
+    branches = [
+        Branch(pattern, _random_plan(rng, pattern), guard=_random_guard(rng))
+        for pattern in patterns
+    ]
+    return CompiledProgram(UniFiProgram(branches), target)
+
+
+def _reference_keywords(branches):
+    keywords = []
+    for branch in branches:
+        if isinstance(branch.guard, ContainsGuard):
+            keyword = branch.guard.keyword
+            keywords.extend((keyword, keyword.lower(), keyword.upper()))
+    return keywords
+
+
+def _reference_dead_arms(compiled, name):
+    """CLX001/CLX002 and CLX010 as separate searches over the input alphabet.
+
+    The reachability pass and the guard check each run their own
+    subset searches over an alphabet of the target, the branch patterns
+    and the guard keywords — no shared fate.
+    """
+    branches = compiled.program.branches
+    atoms = atom_alphabet(
+        [compiled.target, *(b.pattern for b in branches)],
+        extra_text=_reference_keywords(branches),
+    )
+    target_nfa = pattern_nfa(compiled.target, atoms)
+    rows = []
+    earlier_unguarded = []
+    for index, branch in enumerate(branches):
+        machine = pattern_nfa(branch.pattern, atoms)
+        location = f"{name}:branch[{index + 1}]"
+        if subsumed_by_union(machine, [target_nfa], atoms):
+            rows.append(
+                finding(
+                    "CLX001",
+                    location,
+                    f"branch pattern {branch.pattern.notation()} is subsumed by the "
+                    f"target {compiled.target.notation()}; every match passes through "
+                    "before this branch is consulted",
+                    pattern=branch.pattern.notation(),
+                    target=compiled.target.notation(),
+                )
+            )
+        elif earlier_unguarded and subsumed_by_union(
+            machine, [target_nfa] + [m for _, m in earlier_unguarded], atoms
+        ):
+            shadowers = [
+                i + 1
+                for i, earlier in earlier_unguarded
+                if subsumed_by_union(machine, [earlier], atoms)
+            ]
+            if shadowers:
+                reason = f"shadowed by earlier branch(es) {shadowers}"
+            else:
+                reason = "jointly shadowed by the target and earlier branches"
+            rows.append(
+                finding(
+                    "CLX002",
+                    location,
+                    f"branch pattern {branch.pattern.notation()} can never fire: {reason}",
+                    pattern=branch.pattern.notation(),
+                    shadowed_by=shadowers,
+                )
+            )
+        if branch.guard is None:
+            earlier_unguarded.append((index, machine))
+        guard = branch.guard
+        if isinstance(guard, ContainsGuard) and not guard_satisfiable(
+            machine, guard.keyword, atoms, guard.case_sensitive
+        ):
+            rows.append(
+                finding(
+                    "CLX010",
+                    location,
+                    f"guard {guard.describe()} can never hold for "
+                    f"{branch.pattern.notation()}; the branch is dead",
+                    keyword=guard.keyword,
+                )
+            )
+    return rows
+
+
+def _reference_live(compiled):
+    """Flow liveness over the flow alphabet (outputs included)."""
+    branches = compiled.program.branches
+    outputs = [branch_output_pattern(branch) for branch in branches]
+    atoms = atom_alphabet(
+        [compiled.target, *(b.pattern for b in branches), *outputs],
+        extra_text=_reference_keywords(branches),
+    )
+    target_nfa = pattern_nfa(compiled.target, atoms)
+    live = []
+    earlier_unguarded = []
+    for index, branch in enumerate(branches):
+        machine = pattern_nfa(branch.pattern, atoms)
+        dead = subsumed_by_union(machine, [target_nfa, *earlier_unguarded], atoms)
+        guard = branch.guard
+        if not dead and isinstance(guard, ContainsGuard):
+            dead = not guard_satisfiable(machine, guard.keyword, atoms, guard.case_sensitive)
+        if not dead:
+            live.append(index)
+        if branch.guard is None:
+            earlier_unguarded.append(machine)
+    return tuple(live)
+
+
+def _finding_rows(findings):
+    return sorted(
+        (f.location, f.rule_id, f.message, repr(sorted(f.data.items()))) for f in findings
+    )
+
+
+def _dispatched_branch(compiled, value):
+    """The branch index first-match dispatch picks for ``value``.
+
+    ``-1`` for the target pass-through, ``None`` when nothing matches.
+    """
+    if compile_pattern(compiled.target).fullmatch(value):
+        return -1
+    for index, branch in enumerate(compiled.program.branches):
+        if compile_pattern(branch.pattern).fullmatch(value) and branch.accepts(value):
+            return index
+    return None
+
+
+def _assert_reaches(compiled, witness, reported):
+    """No arm dispatch tries before branch ``reported`` surely takes ``witness``.
+
+    The target and earlier unguarded arms never capture it.  When the
+    reported arm is unguarded, dispatch lands on it (or on an earlier
+    guarded arm whose guard happens to hold).
+    """
+    branches = compiled.program.branches
+    taken = _dispatched_branch(compiled, witness)
+    assert taken != -1, f"witness {witness!r} passes through the target"
+    assert taken is None or taken >= reported or branches[taken].guard is not None, (
+        f"witness {witness!r} is captured by earlier unguarded branch {taken + 1}"
+    )
+    if branches[reported].guard is None:
+        assert taken is not None and taken <= reported, (
+            f"witness {witness!r} never reaches branch {reported + 1}"
+        )
+
+
+class TestLivenessDifferential:
+    def test_fates_equal_separate_searches(self, property_rng):
+        counts = {"CLX001": 0, "CLX002": 0, "CLX010": 0, "joint": 0, "live": 0}
+        for number in range(RANDOM_PROGRAMS):
+            compiled = _random_program(property_rng)
+            name = f"random-{number}"
+            languages = ProgramLanguages(compiled)
+            produced = check_reachability(languages, name) + [
+                f for f in check_plan_sanity(languages, name) if f.rule_id == "CLX010"
+            ]
+            expected = _reference_dead_arms(compiled, name)
+            assert _finding_rows(produced) == _finding_rows(expected), name
+            live = languages.live
+            assert live == _reference_live(compiled), name
+            for item in expected:
+                counts[item.rule_id] += 1
+                if item.rule_id == "CLX002" and not item.data["shadowed_by"]:
+                    counts["joint"] += 1
+            counts["live"] += len(live)
+        # Every verdict kind must actually have been exercised.
+        assert all(count >= 10 for count in counts.values()), counts
+
+
+class TestReentryDifferential:
+    def test_reentry_witnesses_reach_the_reported_branch(self, property_rng):
+        checked = 0
+        for number in range(RANDOM_PROGRAMS):
+            compiled = _random_program(property_rng)
+            for item in check_flow(compiled, "random"):
+                if item.rule_id == "CLX017":
+                    reported = item.data["reenters_branch"] - 1
+                elif item.rule_id == "CLX018":
+                    reported = int(item.location.rsplit("[", 1)[1].rstrip("]")) - 1
+                else:
+                    continue
+                _assert_reaches(compiled, item.data["witness"], reported)
+                checked += 1
+        assert checked >= 20, f"only {checked} re-entry findings drawn"
+
+    def test_retransform_witnesses_reach_the_reported_branch(self, property_rng):
+        checked = 0
+        for _ in range(RANDOM_PROGRAMS):
+            source = _random_program(property_rng)
+            sink = _random_program(property_rng)
+            producer = CompiledProgram(source.program, source.target, metadata={"column": "c"})
+            consumer = CompiledProgram(
+                sink.program, sink.target, metadata={"column": "c_transformed"}
+            )
+            named = [("p", producer), ("c", consumer)]
+            for item in check_composition(named):
+                if item.rule_id != "CLX021":
+                    continue
+                witness = item.data["witness"]
+                assert compile_pattern(producer.target).fullmatch(witness)
+                reported = int(item.location.rsplit("[", 1)[1].rstrip("]")) - 1
+                _assert_reaches(consumer, witness, reported)
+                checked += 1
+        assert checked >= 10, f"only {checked} re-transform findings drawn"
