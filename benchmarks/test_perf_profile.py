@@ -19,8 +19,16 @@ heavy-hitter stream (~2k distinct values, Zipf row counts) one
 must produce the same fingerprint as the per-value
 :meth:`~repro.clustering.incremental.ColumnProfile.observe` loop and be
 at least 1.2x faster, as a median of three interleaved repeats.  The
-same ratio on a stream of distinct phone numbers is printed, not gated:
-there the memo only costs.
+distinct-values row guards the shape fold: on a stream of distinct phone
+numbers, where the memo never hits, ``observe_all`` (one tokenization
+per leaf shape) must beat the ``observe`` loop (one tokenization per
+value) by the same margin, again with equal fingerprints.
+
+The tokenizer row guards the compiled
+:func:`~repro.tokens.tokenizer.tokenize`: it must return exactly what
+:func:`~repro.tokens.tokenizer.tokenize_reference` (the character-loop
+specification) does on a mixed corpus, and be at least 1.2x faster, as
+a median of three interleaved repeats.
 
 ``CLX_PERF_ROWS`` scales the workload down for smoke runs (CI runs the
 file with a small value so the scale path cannot rot); the memory
@@ -38,9 +46,10 @@ import sys
 import time
 import tracemalloc
 
-from repro.bench.generators import phone_number_stream
+from repro.bench.generators import addresses, human_names, phone_number_stream, urls
 from repro.clustering.incremental import ColumnProfile, IncrementalProfiler
 from repro.clustering.profiler import PatternProfiler
+from repro.tokens.tokenizer import tokenize, tokenize_reference
 from repro.util.csvio import record_open_after, record_open_after_reference
 from repro.util.text import format_table
 
@@ -66,14 +75,21 @@ SCANNER_MIN_SPEEDUP = 2.0
 #: Distinct values in the heavy-hitter stream of the repeated-values row.
 HEAVY_HITTER_POOL = 2_000
 
-#: Rows of the distinct-values stream the repeated-values row prints.
+#: Rows of the distinct-values stream of the distinct-values row.
 DISTINCT_ROWS = min(ROWS, 20_000)
 
 #: Timed repeats of each profile path; the speed-up gate takes their median.
 PROFILE_REPEATS = 3
 
-#: Minimum median speed-up of ``observe_all`` over the per-value loop.
+#: Minimum median speed-up of ``observe_all`` over the per-value loop,
+#: on repeated values (value memo) and on distinct ones (shape fold).
 REPEATED_MIN_SPEEDUP = 1.2
+DISTINCT_MIN_SPEEDUP = 1.2
+
+#: Values in the tokenizer corpus, and the compiled tokenizer's minimum
+#: median speed-up over the character-loop reference.
+TOKENIZER_VALUES = min(ROWS, 40_000)
+TOKENIZER_MIN_SPEEDUP = 1.2
 
 
 def _materialized_estimate(rows: int) -> float:
@@ -222,6 +238,7 @@ def test_perf_profile_repeated_values():
     repeated_speedups, repeated_seconds = _profile_speedups(repeated)
     distinct_speedups, distinct_seconds = _profile_speedups(distinct)
     speedup = statistics.median(repeated_speedups)
+    distinct_speedup = statistics.median(distinct_speedups)
     rows_table = [
         (
             "heavy hitters",
@@ -235,7 +252,7 @@ def test_perf_profile_repeated_values():
             f"{len(distinct)} rows, {len(set(distinct))} distinct",
             f"{distinct_seconds[0]:.2f} s",
             f"{distinct_seconds[1]:.2f} s",
-            f"{statistics.median(distinct_speedups):.2f}x",
+            f"{distinct_speedup:.2f}x",
         ),
     ]
     print(
@@ -248,4 +265,48 @@ def test_perf_profile_repeated_values():
     assert speedup >= REPEATED_MIN_SPEEDUP, (
         f"observe_all is only {speedup:.2f}x the per-value observe loop on repeated "
         f"values (median of {repeated_speedups}); expected >= {REPEATED_MIN_SPEEDUP}x"
+    )
+    assert distinct_speedup >= DISTINCT_MIN_SPEEDUP, (
+        f"observe_all is only {distinct_speedup:.2f}x the per-value observe loop on "
+        f"distinct values (median of {distinct_speedups}); expected >= {DISTINCT_MIN_SPEEDUP}x"
+    )
+
+
+def _tokenizer_corpus(count: int) -> list:
+    """Phones, names, addresses and URLs, plus non-ASCII letters and digits."""
+    quarter = count // 4
+    corpus = list(phone_number_stream(quarter, seed=86))
+    corpus += human_names(quarter, seed=86)[0]
+    corpus += addresses(quarter, seed=86)[0]
+    corpus += urls(quarter, seed=86)[0]
+    corpus += [f"Zürich {index}² ½-١\t{index:x}" for index in range(count - len(corpus))]
+    return corpus
+
+
+def _tokenize_all(tokenizer, values: list) -> tuple:
+    """(token lists, seconds) of ``tokenizer`` over ``values``."""
+    start = time.perf_counter()
+    tokens = [tokenizer(value) for value in values]
+    return tokens, time.perf_counter() - start
+
+
+def test_perf_tokenizer():
+    corpus = _tokenizer_corpus(TOKENIZER_VALUES)
+    speedups = []
+    for _ in range(PROFILE_REPEATS):
+        reference, reference_seconds = _tokenize_all(tokenize_reference, corpus)
+        compiled, compiled_seconds = _tokenize_all(tokenize, corpus)
+        assert compiled == reference
+        speedups.append(reference_seconds / compiled_seconds)
+    speedup = statistics.median(speedups)
+    rows_table = [
+        ("values", f"{len(corpus)}", f"{sum(map(len, corpus))} chars"),
+        ("reference (char loop)", f"{reference_seconds:.2f} s", "last repeat"),
+        ("compiled tokenizer", f"{compiled_seconds:.2f} s", "last repeat"),
+        ("median speed-up", f"{speedup:.1f}x", f"of {PROFILE_REPEATS} repeats"),
+    ]
+    print("\n" + format_table(["tokenizer", "value", "detail"], rows_table))
+    assert speedup >= TOKENIZER_MIN_SPEEDUP, (
+        f"compiled tokenizer is only {speedup:.2f}x the reference loop "
+        f"(median of {speedups}); expected >= {TOKENIZER_MIN_SPEEDUP}x"
     )

@@ -142,7 +142,7 @@ def check_regex_safety(
             (branch_location(name, index), compiled_with_groups(branch.pattern).pattern)
         )
     for location, source in subjects:
-        issues, measured = analyze_regex(source)
+        issues, measured = analyze_regex(source, probe=probe)
         if not issues:
             continue
         kinds = {issue.kind for issue in issues}
@@ -156,7 +156,7 @@ def check_regex_safety(
             findings.append(
                 finding("CLX005", location, f"ambiguous repetition: {detail}", regex=source)
             )
-        if probe and measured is not None and measured.slow:
+        if measured is not None and measured.slow:
             findings.append(
                 finding(
                     "CLX006",

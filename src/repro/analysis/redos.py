@@ -601,11 +601,15 @@ def probe(regex_source: str, node: Node) -> Optional[ProbeResult]:
     return last
 
 
-def analyze_regex(regex_source: str) -> Tuple[List[StructuralIssue], Optional[ProbeResult]]:
+def analyze_regex(
+    regex_source: str, probe: bool = True
+) -> Tuple[List[StructuralIssue], Optional[ProbeResult]]:
     """Structural scan + (for flagged regexes only) the empirical probe.
 
     Unparseable regexes — constructs outside the modeled subset — yield
-    no findings: the linter's regex pass is best-effort by design.
+    no findings: the linter's regex pass is best-effort by design.  With
+    ``probe=False`` the timed probe is skipped and the result is
+    ``None``; the structural issues are the same either way.
     """
     try:
         node = parse_regex(regex_source)
@@ -614,4 +618,9 @@ def analyze_regex(regex_source: str) -> Tuple[List[StructuralIssue], Optional[Pr
     issues = scan_structure(node)
     if not issues:
         return [], None
-    return issues, probe(regex_source, node)
+    return issues, _run_probe(regex_source, node) if probe else None
+
+
+def _run_probe(regex_source: str, node: Node) -> Optional[ProbeResult]:
+    """Call the module's :func:`probe` (shadowed by ``analyze_regex``'s flag)."""
+    return probe(regex_source, node)

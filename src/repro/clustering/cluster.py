@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from repro.patterns.pattern import Pattern
 from repro.tokens.constants import discover_constant_tokens, promote_constants
-from repro.tokens.tokenizer import tokenize
+from repro.tokens.tokenizer import leaf_shape, tokenize
 
 
 @dataclass
@@ -79,36 +79,37 @@ def initial_clusters(
         notation for determinism), matching the presentation order of
         Figure 3.
     """
-    by_pattern: Dict[Pattern, PatternCluster] = {}
-    tokenizations: Dict[Pattern, List[List]] = {}
+    # Values with equal shapes tokenize equally, so each shape group is
+    # tokenized once, on its first value; shapes and patterns correspond
+    # one to one, so the groups keep the first-seen order of the patterns.
+    groups: Dict[str, List[str]] = {}
     for value in values:
-        tokens = tokenize(value)
-        pattern = Pattern(tokens)
-        cluster = by_pattern.get(pattern)
-        if cluster is None:
-            cluster = PatternCluster(pattern=pattern)
-            by_pattern[pattern] = cluster
-            tokenizations[pattern] = []
-        cluster.values.append(value)
-        tokenizations[pattern].append(tokens)
-
-    clusters = list(by_pattern.values())
+        shape = leaf_shape(value)
+        group = groups.get(shape)
+        if group is None:
+            groups[shape] = [value]
+        else:
+            group.append(value)
+    clusters = [
+        PatternCluster(pattern=Pattern(tokenize(group[0])), values=group)
+        for group in groups.values()
+    ]
     if discover_constants:
         clusters = [
-            _promote_cluster_constants(cluster, tokenizations[cluster.pattern], constant_threshold)
-            for cluster in clusters
+            _promote_cluster_constants(cluster, constant_threshold) for cluster in clusters
         ]
         clusters = _remerge_equal_patterns(clusters)
     clusters.sort(key=lambda c: (-c.size, c.pattern.notation()))
     return clusters
 
 
-def _promote_cluster_constants(
-    cluster: PatternCluster,
-    tokenizations: Sequence[Sequence],
-    threshold: float,
-) -> PatternCluster:
-    """Return a cluster whose dominant constant positions are literal."""
+def _promote_cluster_constants(cluster: PatternCluster, threshold: float) -> PatternCluster:
+    """Return a cluster whose dominant constant positions are literal.
+
+    ``cluster`` is a leaf cluster, so its pattern is the tokenization
+    every one of its values shares.
+    """
+    tokenizations = [cluster.pattern.tokens] * cluster.size
     constants = discover_constant_tokens(cluster.values, tokenizations, threshold=threshold)
     if not constants:
         return cluster

@@ -31,6 +31,18 @@ tracker piece already equals that value's piece.  The memo holds at most
 bounded on a column of distinct values; it is never part of the profile
 state (not pickled, merged, copied or fingerprinted).
 
+A new value with a known shape costs one ``str.translate`` plus one
+lookup.  :func:`~repro.tokens.tokenizer.leaf_shape` replaces each ASCII
+digit, lowercase and uppercase letter by ``0``, ``a`` and ``A``; two
+values have equal shapes exactly when they tokenize equally, so a second
+call-local dict from shape to leaf accumulator sends a memo miss to its
+leaf, and only the first value of each shape in the call is tokenized
+and hashed into a ``Pattern``.  Leaf tokens have fixed lengths, so the
+constant tracker compares ``value[start:end]`` slices at offsets derived
+from the leaf pattern instead of re-splitting each value, and only at
+the positions still constant.  The shape dict holds one entry per leaf
+the call touched, so it is no larger than the profile itself.
+
 The accumulated state is a :class:`ColumnProfile`.  Profiles built over
 different shards of the same column **merge** (:meth:`ColumnProfile.merge`,
 associative and commutative on counts and patterns), so a column can be
@@ -45,7 +57,7 @@ unchanged on top of it (see :meth:`CLXSession.from_profile`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.clustering.cluster import PatternCluster
 from repro.clustering.hierarchy import HierarchyNode, PatternHierarchy
@@ -53,7 +65,7 @@ from repro.clustering.refine import refine_layer
 from repro.patterns.generalize import GENERALIZATION_STRATEGIES, GeneralizationStrategy
 from repro.patterns.pattern import Pattern
 from repro.tokens.constants import DEFAULT_MIN_ROWS, MAX_CONSTANT_LENGTH, promote_constants
-from repro.tokens.tokenizer import split_by_tokens, tokenize
+from repro.tokens.tokenizer import leaf_shape, tokenize
 from repro.util.errors import ValidationError
 
 #: Default number of distinct sample values retained per leaf cluster.
@@ -86,42 +98,67 @@ class SampledCluster(PatternCluster):
         return self.row_count
 
 
+def _piece_spans(pattern: Pattern) -> List[Tuple[int, int, int]]:
+    """``(position, start, end)`` of each base token of a leaf pattern.
+
+    Leaf tokens have fixed lengths, so every value of the leaf holds the
+    piece of base token ``position`` at ``value[start:end]``.  Literal
+    positions are constant by construction and left out.
+    """
+    spans: List[Tuple[int, int, int]] = []
+    cursor = 0
+    for position, token in enumerate(pattern.tokens):
+        length = token.fixed_length
+        assert length is not None, "leaf patterns have fixed-length tokens"
+        if not token.is_literal:
+            spans.append((position, cursor, cursor + length))
+        cursor += length
+    return spans
+
+
 class _LeafAccumulator:
     """Bounded per-leaf-pattern state: count, exemplars, constant tracker."""
 
-    __slots__ = ("pattern", "count", "exemplars", "_exemplar_set", "pieces", "_live")
+    __slots__ = ("pattern", "count", "exemplars", "_exemplar_set", "pieces", "_tracked")
 
     def __init__(self, pattern: Pattern, track_constants: bool) -> None:
         self.pattern = pattern
         self.count = 0
         self.exemplars: List[str] = []
-        self._exemplar_set: set = set()
+        self._exemplar_set: Set[str] = set()
         # pieces[i] is the constant string at token position i while every
         # row so far agrees, None once positions diverge.  Literal token
         # positions are constant by construction and never promoted, so
-        # they are born None to keep the liveness check cheap.
-        self.pieces: Optional[List[Optional[str]]] = None
-        self._live = track_constants
+        # they are always None.
+        self.pieces: Optional[List[Optional[str]]] = (
+            [None] * len(pattern.tokens) if track_constants else None
+        )
+        # (position, start, end) of every position whose piece is still
+        # constant: all base positions until the first row disagrees,
+        # empty once none is left or when constants are not tracked.
+        self._tracked = _piece_spans(pattern) if track_constants else []
 
     def add(self, value: str, exemplar_cap: int) -> None:
         self.count += 1
         if len(self.exemplars) < exemplar_cap and value not in self._exemplar_set:
             self.exemplars.append(value)
             self._exemplar_set.add(value)
-        if not self._live:
+        tracked = self._tracked
+        if not tracked:
             return
-        observed = split_by_tokens(value, self.pattern.tokens)
-        if self.pieces is None:
-            self.pieces = [
-                None if token.is_literal else piece
-                for token, piece in zip(self.pattern.tokens, observed)
-            ]
-        else:
-            pieces = self.pieces
-            for index, piece in enumerate(observed):
-                if pieces[index] is not None and pieces[index] != piece:
-                    pieces[index] = None
-        self._live = any(piece is not None for piece in self.pieces)
+        pieces = self.pieces
+        assert pieces is not None
+        if self.count == 1:
+            for position, start, end in tracked:
+                pieces[position] = value[start:end]
+            return
+        demoted = False
+        for position, start, end in tracked:
+            if pieces[position] != value[start:end]:
+                pieces[position] = None
+                demoted = True
+        if demoted:
+            self._tracked = [span for span in tracked if pieces[span[0]] is not None]
 
     def merge_into(self, other: "_LeafAccumulator", exemplar_cap: int) -> None:
         """Fold ``other``'s state into this accumulator (same pattern)."""
@@ -139,22 +176,23 @@ class _LeafAccumulator:
             # matching configurations both sides always track, so this
             # is a safety net, not a live path.)
             self.pieces = None
+            self._tracked = []
         else:
-            self.pieces = [
+            pieces = self.pieces = [
                 mine if mine is not None and mine == theirs else None
                 for mine, theirs in zip(self.pieces, other.pieces)
             ]
-        self._live = self.pieces is not None and any(
-            piece is not None for piece in self.pieces
-        )
+            self._tracked = [
+                span for span in _piece_spans(self.pattern) if pieces[span[0]] is not None
+            ]
 
     def copy(self) -> "_LeafAccumulator":
-        duplicate = _LeafAccumulator(self.pattern, track_constants=self._live)
+        duplicate = _LeafAccumulator(self.pattern, track_constants=False)
         duplicate.count = self.count
         duplicate.exemplars = list(self.exemplars)
         duplicate._exemplar_set = set(self._exemplar_set)
         duplicate.pieces = list(self.pieces) if self.pieces is not None else None
-        duplicate._live = self._live
+        duplicate._tracked = list(self._tracked)
         return duplicate
 
 
@@ -262,22 +300,19 @@ class ColumnProfile:
     # ------------------------------------------------------------------
     # Accumulation
     # ------------------------------------------------------------------
-    def _fold(self, value: str) -> _LeafAccumulator:
-        """Tokenize ``value`` and add it to its leaf; returns the leaf.
-
-        The caller counts the row.
-        """
+    def _leaf(self, value: str) -> _LeafAccumulator:
+        """Tokenize ``value`` and return its leaf, creating it if new."""
         pattern = Pattern(tokenize(value))
         accumulator = self._clusters.get(pattern)
         if accumulator is None:
             accumulator = _LeafAccumulator(pattern, track_constants=self._discover_constants)
             self._clusters[pattern] = accumulator
-        accumulator.add(value, self._exemplar_cap)
         return accumulator
 
     def observe(self, value: str) -> None:
         """Fold one raw value into the profile."""
-        self._fold(str(value))
+        value = str(value)
+        self._leaf(value).add(value, self._exemplar_cap)
         self._row_count += 1
 
     def observe_all(self, values: Iterable[str]) -> "ColumnProfile":
@@ -289,15 +324,27 @@ class ColumnProfile:
         ``str(value)`` — ``1``, ``True`` and ``1.0`` hash equal but
         tokenize differently — holds at most :data:`VALUE_MEMO_SIZE`
         values, is cleared when full, and lives only for this call.
+
+        A new value finds its leaf by its
+        :func:`~repro.tokens.tokenizer.leaf_shape`, which equals another
+        value's exactly when their tokenizations do: only the first
+        value of each shape in the call is tokenized.
         """
         memo: Dict[str, _LeafAccumulator] = {}
+        by_shape: Dict[str, _LeafAccumulator] = {}
+        exemplar_cap = self._exemplar_cap
         for value in values:
             value = str(value)
             accumulator = memo.get(value)
             if accumulator is None:
                 if len(memo) >= VALUE_MEMO_SIZE:
                     memo.clear()
-                memo[value] = self._fold(value)
+                shape = leaf_shape(value)
+                accumulator = by_shape.get(shape)
+                if accumulator is None:
+                    accumulator = by_shape[shape] = self._leaf(value)
+                accumulator.add(value, exemplar_cap)
+                memo[value] = accumulator
             else:
                 accumulator.count += 1
             self._row_count += 1

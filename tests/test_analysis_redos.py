@@ -12,12 +12,16 @@ import time
 
 import pytest
 
+from repro.analysis import analyze_program, redos
 from repro.analysis.redos import (
     PROBE_BUDGET_SECONDS,
+    ProbeResult,
     analyze_regex,
     parse_regex,
     scan_structure,
 )
+from repro.dsl.ast import AtomicPlan, Branch, Extract, UniFiProgram
+from repro.engine.compiled import CompiledProgram
 from repro.patterns.matching import compiled_with_groups
 from repro.patterns.parse import parse_pattern as P
 from repro.patterns.regex import pattern_to_regex
@@ -103,3 +107,32 @@ class TestProbe:
         issues, probe = analyze_regex(r"^([a-z]+)([a-z0-9]+)$")
         assert {issue.kind for issue in issues} == {"ambiguous"}
         assert probe is not None and not probe.slow
+
+
+def _flagged_program():
+    """One branch of eight adjacent overlapping '+' tokens: structurally flagged."""
+    branch = Branch(P("<A>+" * 8), AtomicPlan([Extract(1, 8)]))
+    return CompiledProgram(UniFiProgram([branch]), P("<D>3"))
+
+
+class TestProbeFlag:
+    def test_probe_false_never_runs_the_probe(self, monkeypatch):
+        def refuse(regex_source, node):
+            raise AssertionError(f"probe ran on {regex_source!r} with probe=False")
+
+        monkeypatch.setattr(redos, "probe", refuse)
+        report = analyze_program(_flagged_program(), probe=False)
+        codes = {finding.rule_id for finding in report.findings}
+        assert "CLX005" in codes and "CLX006" not in codes
+        assert analyze_regex(r"^(?:[a-z]+)+$", probe=False)[1] is None
+
+    def test_structural_findings_do_not_depend_on_the_flag(self, monkeypatch):
+        monkeypatch.setattr(
+            redos,
+            "probe",
+            lambda regex_source, node: ProbeResult(slow=True, input_length=64, seconds=1.0),
+        )
+        probed = analyze_program(_flagged_program(), probe=True).findings
+        unprobed = analyze_program(_flagged_program(), probe=False).findings
+        assert "CLX006" in {finding.rule_id for finding in probed}
+        assert [finding for finding in probed if finding.rule_id != "CLX006"] == unprobed

@@ -10,14 +10,18 @@ from repro.bench.generators import addresses, human_names, medical_codes
 from repro.bench.phone import phone_dataset
 from repro.clustering import incremental
 from repro.clustering.incremental import (
+    DEFAULT_EXEMPLAR_CAP,
     VALUE_MEMO_SIZE,
     ColumnProfile,
     IncrementalProfiler,
     SampledCluster,
+    _LeafAccumulator,
     profile_stream,
 )
 from repro.clustering.profiler import PatternProfiler
 from repro.core.session import CLXSession
+from repro.patterns.pattern import Pattern
+from repro.tokens.tokenizer import leaf_shape, split_by_tokens, tokenize_reference
 from repro.util.errors import ValidationError
 
 
@@ -287,6 +291,7 @@ class TestValueMemo:
         self._assert_same_as_reference([1, True, 1.0, "1", "True"])
 
     def test_tokenizes_each_distinct_value_once(self, monkeypatch):
+        """A value is tokenized at most once: only the first of its shape is."""
         calls = []
         real_tokenize = incremental.tokenize
 
@@ -297,10 +302,15 @@ class TestValueMemo:
         # Patched as the module global, the way a tracer wraps it.
         monkeypatch.setattr(incremental, "tokenize", counting_tokenize)
         pool = [f"code-{index}" for index in range(VALUE_MEMO_SIZE // 2)]
+        pool += [f"Code {index}" for index in range(VALUE_MEMO_SIZE // 2)]
         values = _zipf_stream(random.Random(44), pool, 10_000)
         profile = IncrementalProfiler().profile(values)
         assert profile.row_count == len(values)
-        assert sorted(calls) == sorted(set(values))
+        first_of_shape = {}
+        for value in values:
+            first_of_shape.setdefault(leaf_shape(value), value)
+        # Exactly one call per distinct shape, made on its first value.
+        assert calls == list(first_of_shape.values())
 
     def test_memo_is_not_profile_state(self):
         fast = ColumnProfile().observe_all(["a1", "a1", "b2"])
@@ -312,3 +322,166 @@ class TestValueMemo:
         profile.observe_all(["Dr Smith", "Mr Smith"])
         reference = _observed_one_by_one(["Mr Smith", "Mr Smith", "Dr Smith", "Mr Smith"])
         assert _profile_state(profile) == _profile_state(reference)
+
+
+# ----------------------------------------------------------------------
+# The shape fold against a per-value reference
+# ----------------------------------------------------------------------
+_CLASS_POOLS = ("0123456789", "abcdefghijklmnopqrstuvwxyz", "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
+def _shaped_stream(rng, shapes: int, distinct: int, rows: int) -> list:
+    """``rows`` values over ``distinct`` values drawn from ``shapes`` templates.
+
+    A template is a list of parts: a class run (filled at random), a fixed
+    word (a constant the tracker keeps), or a punctuation character.  Some
+    templates hold both a fixed and a varying word of the same class at
+    the same offsets, so constants survive in some leaves and not others.
+    """
+    templates = []
+    for _ in range(shapes):
+        parts = []
+        for _ in range(rng.randrange(0, 5)):
+            roll = rng.random()
+            if roll < 0.5:
+                parts.append(("run", rng.choice(_CLASS_POOLS), rng.randrange(1, 5)))
+            elif roll < 0.7:
+                parts.append(("fixed", rng.choice(("Dr", "mr", "ID", "kg", "x")), 0))
+            else:
+                parts.append(("fixed", rng.choice("-./ :é\n"), 0))
+        templates.append(parts)
+
+    def render(parts):
+        out = []
+        for kind, pool, length in parts:
+            if kind == "fixed":
+                out.append(pool)
+            else:
+                out.append("".join(rng.choice(pool) for _ in range(length)))
+        return "".join(out)
+
+    seen = {}
+    for _ in range(50 * distinct):
+        seen.setdefault(render(rng.choice(templates)), None)
+        if len(seen) == distinct:
+            break
+    pool = list(seen)
+    values = pool + _zipf_stream(rng, pool, rows)
+    rng.shuffle(values)
+    return values
+
+
+def _reference_profile(values, exemplar_cap=DEFAULT_EXEMPLAR_CAP, discover_constants=True):
+    """The per-value fold: ``tokenize_reference`` and ``split_by_tokens`` per row.
+
+    Returns a :class:`ColumnProfile` holding the reference state, so its
+    fingerprint and hierarchy come from the same lowering code.
+    """
+    leaves = {}
+    for value in values:
+        value = str(value)
+        tokens = tokenize_reference(value)
+        pattern = Pattern(tokens)
+        if pattern not in leaves:
+            leaves[pattern] = _LeafAccumulator(pattern, track_constants=False)
+        leaf = leaves[pattern]
+        leaf.count += 1
+        if len(leaf.exemplars) < exemplar_cap and value not in leaf.exemplars:
+            leaf.exemplars.append(value)
+        if not discover_constants:
+            continue
+        observed = [
+            None if token.is_literal else piece
+            for token, piece in zip(tokens, split_by_tokens(value, tokens))
+        ]
+        if leaf.pieces is None:
+            leaf.pieces = observed
+        else:
+            leaf.pieces = [
+                mine if mine == theirs else None for mine, theirs in zip(leaf.pieces, observed)
+            ]
+    profile = ColumnProfile(exemplar_cap=exemplar_cap, discover_constants=discover_constants)
+    profile._clusters = leaves
+    profile._row_count = len(values)
+    return profile
+
+
+def _fold_state(profile):
+    """Fingerprint, leaf counts, exemplars, pieces and lowered hierarchy."""
+    hierarchy = profile.to_hierarchy()
+    return (
+        profile.fingerprint(),
+        profile.leaf_counts(),
+        {pattern: list(acc.exemplars) for pattern, acc in profile._clusters.items()},
+        {pattern: acc.pieces for pattern, acc in profile._clusters.items()},
+        _layer_signature(hierarchy),
+        [list(node.cluster.values) for node in hierarchy.leaf_nodes],
+    )
+
+
+_CONFIGS = [
+    {},
+    {"exemplar_cap": 1},
+    {"discover_constants": False},
+]
+
+
+class TestShapeFold:
+    """``observe_all`` (value memo + shape fold) against the per-value reference."""
+
+    @pytest.mark.parametrize("config", _CONFIGS)
+    def test_stream_crossing_the_memo(self, property_rng, config):
+        values = _shaped_stream(property_rng, 60, VALUE_MEMO_SIZE + 500, 4_000)
+        assert len(set(values)) > VALUE_MEMO_SIZE
+        fast = ColumnProfile(**config).observe_all(iter(values))
+        assert _fold_state(fast) == _fold_state(_reference_profile(values, **config))
+
+    @pytest.mark.parametrize("config", _CONFIGS)
+    def test_merge_copy_then_fold_more(self, property_rng, config):
+        values = _shaped_stream(property_rng, 40, VALUE_MEMO_SIZE + 200, 3_000)
+        cut = [0, len(values) // 5, len(values) // 2, 3 * len(values) // 4, len(values)]
+        chunks = [values[start:end] for start, end in zip(cut, cut[1:])]
+        first, second, third = (ColumnProfile(**config).observe_all(chunk) for chunk in chunks[:3])
+
+        merged = first.merge(second)
+        merged.observe_all(chunks[2])
+        assert _fold_state(merged) == _fold_state(
+            _reference_profile(chunks[0] + chunks[1] + chunks[2], **config)
+        )
+
+        combined = ColumnProfile.merge_all([first, second, third])
+        combined.observe_all(chunks[3])
+        assert _fold_state(combined) == _fold_state(_reference_profile(values, **config))
+
+        single = ColumnProfile.merge_all([third])  # copies every leaf
+        single.observe_all(chunks[0])
+        assert _fold_state(single) == _fold_state(
+            _reference_profile(chunks[2] + chunks[0], **config)
+        )
+        # Folding into merged copies left the inputs as they were.
+        for chunk, profile in zip(chunks, (first, second, third)):
+            assert _fold_state(profile) == _fold_state(_reference_profile(chunk, **config))
+
+    def test_copies_and_merges_keep_tracking(self):
+        # A position constant in every shard must still be demoted by a
+        # row folded into the merged profile: the copies and the merged
+        # leaves keep tracking it.
+        first = ColumnProfile().observe_all(["Dr 12-ab", "Dr 34-ab"])
+        second = ColumnProfile().observe_all(["Dr 56-ab"])
+        later = ["Mr 78-ab", "Dr 90-cd"]
+        for profile, seen in (
+            (first.merge(second), ["Dr 12-ab", "Dr 34-ab", "Dr 56-ab"]),
+            (ColumnProfile.merge_all([first]), ["Dr 12-ab", "Dr 34-ab"]),
+        ):
+            profile.observe_all(later)
+            assert _fold_state(profile) == _fold_state(_reference_profile(seen + later))
+
+    def test_constants_survive_and_demote(self):
+        values = ["Dr 12-ab", "Dr 34-ab", "Dr 56-cd", "Mr 12-ab", "x", "y"] * 3
+        fast = ColumnProfile().observe_all(values)
+        assert _fold_state(fast) == _fold_state(_reference_profile(values))
+        pieces = {
+            pattern.notation(): acc.pieces for pattern, acc in fast._clusters.items()
+        }
+        assert pieces["<U><L>' '<D>2'-'<L>2"] == [None, "r", None, None, None, None]
+        assert pieces["<L>"] == [None]
