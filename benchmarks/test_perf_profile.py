@@ -30,6 +30,15 @@ The tokenizer row guards the compiled
 specification) does on a mixed corpus, and be at least 1.2x faster, as
 a median of three interleaved repeats.
 
+The JSONL column-read row guards the profile read path:
+:meth:`~repro.dataset.backends.text.JsonlBackend.iter_shard_values`
+(block reads, one C-scanner call per line) must return exactly what the
+per-line reader it replaced (``json.loads`` on each line of
+:func:`~repro.dataset.readers.iter_line_shard`) returns over a rendered
+JSONL part, and be at least 1.2x faster, as a median of three
+interleaved repeats.  The row also reports a per-line loop that uses
+the same C-scanner fast path, which is what the block reads add to.
+
 ``CLX_PERF_ROWS`` scales the workload down for smoke runs (CI runs the
 file with a small value so the scale path cannot rot); the memory
 assertion always applies.
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import random
 import statistics
@@ -49,6 +59,8 @@ import tracemalloc
 from repro.bench.generators import addresses, human_names, phone_number_stream, urls
 from repro.clustering.incremental import ColumnProfile, IncrementalProfiler
 from repro.clustering.profiler import PatternProfiler
+from repro.dataset.backends import JsonlBackend
+from repro.dataset.readers import iter_line_shard, jsonl_value, parse_jsonl_row
 from repro.tokens.tokenizer import tokenize, tokenize_reference
 from repro.util.csvio import record_open_after, record_open_after_reference
 from repro.util.text import format_table
@@ -90,6 +102,11 @@ DISTINCT_MIN_SPEEDUP = 1.2
 #: median speed-up over the character-loop reference.
 TOKENIZER_VALUES = min(ROWS, 40_000)
 TOKENIZER_MIN_SPEEDUP = 1.2
+
+#: Rows of the rendered JSONL part, and the block reader's minimum median
+#: speed-up over the per-line ``json.loads`` reader.
+JSONL_ROWS = min(ROWS, 50_000)
+JSONL_MIN_SPEEDUP = 1.2
 
 
 def _materialized_estimate(rows: int) -> float:
@@ -309,4 +326,81 @@ def test_perf_tokenizer():
     assert speedup >= TOKENIZER_MIN_SPEEDUP, (
         f"compiled tokenizer is only {speedup:.2f}x the reference loop "
         f"(median of {speedups}); expected >= {TOKENIZER_MIN_SPEEDUP}x"
+    )
+
+
+def _render_jsonl_part(path, rows: int) -> None:
+    """A four-column JSONL part shaped like an exported records table."""
+    rng = random.Random(87)
+    with open(path, "w", encoding="utf-8") as handle:
+        for index in range(rows):
+            words = rng.choices(_NOTE_WORDS, k=rng.randrange(6, 14))
+            record = {
+                "id": str(index),
+                "name": f"{rng.choice(('Smith', 'Lee', 'Garcia'))}, {rng.choice('ABCJ')}.",
+                "note": " ".join(words),
+                "code": f"CPT-{rng.randrange(10000, 99999)}",
+            }
+            handle.write(json.dumps(record) + "\n")
+
+
+def _per_line_loads(locator: str, name: str) -> list:
+    """The reader the block reads replaced: ``json.loads`` on each line."""
+    lines = iter_line_shard(locator, 0, None)
+    return list(
+        jsonl_value(json.loads(line), name)
+        for number, line in enumerate(lines, start=1)
+        if line.strip()
+    )
+
+
+def _per_line_fast_path(locator: str, name: str) -> list:
+    """The same per-line reader through the C-scanner fast path."""
+    lines = iter_line_shard(locator, 0, None)
+    return list(
+        jsonl_value(parse_jsonl_row(line, locator, number), name)
+        for number, line in enumerate(lines, start=1)
+        if line.strip()
+    )
+
+
+def _block_reads(locator: str, name: str) -> list:
+    return list(JsonlBackend().iter_shard_values(locator, 0, None, name, ",", 1))
+
+
+def _timed(reader, locator: str) -> tuple:
+    start = time.perf_counter()
+    values = reader(locator, "code")
+    return values, time.perf_counter() - start
+
+
+def test_perf_jsonl_column_read(tmp_path):
+    part = tmp_path / "part.jsonl"
+    _render_jsonl_part(part, JSONL_ROWS)
+    locator = str(part)
+    speedups, over_fast_path = [], []
+    for _ in range(PROFILE_REPEATS):
+        reference, reference_seconds = _timed(_per_line_loads, locator)
+        fast, fast_seconds = _timed(_per_line_fast_path, locator)
+        blocks, block_seconds = _timed(_block_reads, locator)
+        assert blocks == reference and fast == reference
+        speedups.append(reference_seconds / block_seconds)
+        over_fast_path.append(fast_seconds / block_seconds)
+    speedup = statistics.median(speedups)
+    rows_table = [
+        ("JSONL part", f"{JSONL_ROWS} rows", f"{part.stat().st_size / 1e6:.1f} MB"),
+        ("per-line json.loads", f"{reference_seconds * 1e3:.0f} ms", "last repeat"),
+        ("per-line fast path", f"{fast_seconds * 1e3:.0f} ms", "last repeat"),
+        ("block reads", f"{block_seconds * 1e3:.0f} ms", "last repeat"),
+        ("median speed-up", f"{speedup:.2f}x", f"of {PROFILE_REPEATS} repeats"),
+        (
+            "over the per-line fast path",
+            f"{statistics.median(over_fast_path):.2f}x",
+            "reported, not gated",
+        ),
+    ]
+    print("\n" + format_table(["JSONL column read", "value", "detail"], rows_table))
+    assert speedup >= JSONL_MIN_SPEEDUP, (
+        f"block reads are only {speedup:.2f}x the per-line json.loads reader "
+        f"(median of {speedups}); expected >= {JSONL_MIN_SPEEDUP}x"
     )

@@ -74,15 +74,33 @@ VERIFY_RULES: Tuple[str, ...] = ("CLX015", "CLX016")
 
 
 def plan_is_identity(branch: Branch) -> bool:
-    """Whether the plan reproduces every match verbatim (extracts 1..n)."""
-    cursor = 1
+    """Whether the plan reproduces every match verbatim.
+
+    The plan must emit source tokens 1..n in order.  An ``Extract``
+    emits the tokens it names; a ``ConstStr`` emits the literal source
+    tokens at the cursor whose text it spells, since a literal token
+    matches only its own text: ``'x'<D>+ → ConstStr('x'), Extract(2)``
+    echoes every match.  Equal output and branch patterns would not be
+    enough: ``<D><D> → Extract(2), Extract(1)`` swaps the digits.
+    """
+    tokens = branch.pattern.tokens
+    cursor = 0  # tokens[:cursor] are already emitted
     for expression in branch.plan.expressions:
-        if not isinstance(expression, Extract):
+        if isinstance(expression, Extract):
+            if expression.start != cursor + 1:
+                return False
+            cursor = expression.end
+            continue
+        text = expression.text
+        while text and cursor < len(tokens):
+            literal = tokens[cursor].literal
+            if literal is None or not text.startswith(literal):
+                break
+            text = text[len(literal):]
+            cursor += 1
+        if text:
             return False
-        if expression.start != cursor:
-            return False
-        cursor = expression.end + 1
-    return cursor == len(branch.pattern) + 1
+    return cursor == len(tokens)
 
 
 def branch_output_pattern(branch: Branch) -> Pattern:

@@ -16,10 +16,15 @@ stage diverts exactly that record.
 from __future__ import annotations
 
 import csv
+import io
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dataset.backends.base import Backend, RowSpec
+from repro.dataset.backends.remote import open_locator
 from repro.dataset.readers import (
+    JSON_WHITESPACE,
+    JSONL_DECODER,
     csv_data_region,
     first_jsonl_object,
     iter_line_shard,
@@ -30,7 +35,13 @@ from repro.dataset.readers import (
 )
 from repro.util.csvio import resolve_column
 from repro.util.errors import CLXError, ValidationError
-from repro.util.textio import BadLine
+from repro.util.textio import BadLine, decode_line
+
+#: Bytes per read of the JSONL column reader.  A read that cuts a line
+#: runs on to that line's end, as ``readline`` would carry it, so every
+#: block holds whole lines and memory stays within about one block plus
+#: the longest line.
+JSONL_BLOCK_BYTES = 1 << 20
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.dataset.dataset import DatasetPart
@@ -111,6 +122,113 @@ def parse_jsonl_chunk(
         row.extend([""] * (out_width - width))
         rows.append(row)
     return rows
+
+
+def _lines_before_bad_byte(
+    block: bytes, locator: str, number: int, offset: int
+) -> Tuple[List[str], CLXError]:
+    """The lines of a non-UTF-8 ``block`` before its first bad one, and
+    the :class:`CLXError` :func:`~repro.dataset.readers.iter_line_shard`
+    raises for that one (``number`` and ``offset`` place the block)."""
+    lines: List[str] = []
+    for raw in io.BytesIO(block):  # binary lines end at b"\n" only
+        try:
+            line = decode_line(raw, locator, number + len(lines), offset)
+        except CLXError as error:
+            return lines, error
+        lines.append(line[:-1])
+        offset += len(raw)
+    raise AssertionError("a block that fails to decode holds a line that fails")
+
+
+def _column_values(
+    lines: List[str], tail: str, name: str, locator: str, number: int
+) -> Tuple[List[str], Optional[ValidationError]]:
+    """Column ``name`` of each non-blank line, up to the first bad one,
+    and that line's error.
+
+    ``lines`` ended in ``"\\n"`` and ``tail`` did not; ``number`` is
+    the first line's number.  The fast path of
+    :func:`~repro.dataset.readers.parse_jsonl_row` is spelled out inline,
+    which saves a call per line.  A line it does not take goes through
+    :func:`~repro.dataset.readers.parse_jsonl_row` with its ``"\\n"``
+    put back, so that the error text is unchanged.
+    """
+    raw_decode = JSONL_DECODER.raw_decode
+    values: List[str] = []
+    append = values.append
+    blanks = 0  # every line before the current one gave a value or was blank
+    try:
+        for line in lines:
+            if line[:1] == "{":
+                try:
+                    payload, stop = raw_decode(line)
+                except ValueError:
+                    pass
+                else:
+                    if stop == len(line) or not line[stop:].strip(JSON_WHITESPACE):
+                        value = payload.get(name)
+                        append(value if type(value) is str else jsonl_cell(value))
+                        continue
+            if line.strip():
+                row = parse_jsonl_row(line + "\n", locator, number + len(values) + blanks)
+                append(jsonl_value(row, name))
+            else:
+                blanks += 1
+        if tail.strip():
+            append(jsonl_value(parse_jsonl_row(tail, locator, number + len(lines)), name))
+    except ValidationError as error:
+        return values, error
+    return values, None
+
+
+def _jsonl_value_blocks(
+    locator: str, start: int, end: Optional[int], name: str, first_line: int
+) -> Iterator[List[str]]:
+    """Column ``name`` of the JSONL lines beginning in ``[start, end)``,
+    one list per block of about :data:`JSONL_BLOCK_BYTES`.
+
+    The values are exactly what :func:`~repro.dataset.readers.jsonl_value`
+    of :func:`~repro.dataset.readers.parse_jsonl_row` gives for each
+    non-blank line of :func:`~repro.dataset.readers.iter_line_shard`,
+    and a bad line fails with the same error.  Each block is decoded
+    once and split on ``"\\n"`` only: ``splitlines()`` would also cut at
+    a raw ``U+2028`` or ``"\\x85"``, both legal inside a JSON string.
+    """
+    number = first_line
+    with open_locator(locator) as handle:
+        handle.seek(start)
+        position = start
+        while end is None or position < end:
+            block = handle.read(
+                JSONL_BLOCK_BYTES if end is None else min(JSONL_BLOCK_BYTES, end - position)
+            )
+            if not block:
+                return
+            if block[-1:] != b"\n":
+                block += handle.readline()
+            offset, position = position, position + len(block)
+            failure: Optional[CLXError] = None
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError:
+                lines, failure = _lines_before_bad_byte(block, locator, number, offset)
+                tail = ""
+            else:
+                # Hold at most two of the block's bytes, text and lines.
+                del block
+                lines = text.split("\n")
+                del text
+                # "" after a final "\n", or else the part's unterminated last line
+                tail = lines.pop()
+            values, error = _column_values(lines, tail, name, locator, number)
+            number += len(lines)
+            del lines
+            yield values  # the rows before a bad line still come first
+            del values  # hold one block's values at a time, not two
+            problem = error or failure  # a bad row precedes the bad byte
+            if problem is not None:
+                raise problem
 
 
 class CsvBackend(Backend):
@@ -259,12 +377,8 @@ class JsonlBackend(Backend):
         delimiter: str, first_line: int,
     ) -> Iterator[str]:
         name = _jsonl_column_name(locator, column)
-        lines = iter_line_shard(locator, start, end, first_line=first_line)
-        return (
-            jsonl_value(parse_jsonl_row(line, locator, number), name)
-            for number, line in enumerate(lines, start=first_line)
-            if line.strip()
-        )
+        # A block's values are handed on by chain's C loop, not a generator step each.
+        return chain.from_iterable(_jsonl_value_blocks(locator, start, end, name, first_line))
 
     def encode_rows(
         self, output_fields: Sequence[str], rows: List[List[str]], delimiter: str

@@ -6,9 +6,10 @@ column reader behind profiling at any worker count (and
 :meth:`Dataset.iter_values <repro.dataset.dataset.Dataset.iter_values>`);
 :meth:`~repro.dataset.backends.base.Backend.read_shard_lines` feeds the
 apply workers.  Both read a planned shard
-(:mod:`repro.dataset.shards`) through :func:`iter_line_shard` and build
-on the header scan, the JSONL row parser and the cell rule defined
-here, as do the schema checks.
+(:mod:`repro.dataset.shards`) through :func:`iter_line_shard`, or, for
+JSONL values, in blocks holding exactly the same lines, and build on
+the header scan, the JSONL row parser and the cell rule defined here,
+as do the schema checks.
 
 Every open goes through
 :func:`~repro.dataset.backends.remote.open_locator` (binary mode, lines
@@ -123,6 +124,15 @@ def csv_data_region(
     return header, data_start, header_lines + 1
 
 
+#: The decoder ``json.loads`` itself uses when called without options.
+JSONL_DECODER = json.JSONDecoder()
+
+#: What ``json.loads`` skips around a document: JSON whitespace only.
+#: ``str.strip()`` would also drop ``"\\xa0"``, ``"\\x0b"`` or ``"\\x1c"``,
+#: which ``json.loads`` rejects as extra data.
+JSON_WHITESPACE = " \t\n\r"
+
+
 def parse_jsonl_row(
     line: str, source: Union[str, Path], number: Union[int, None] = None
 ) -> Dict[str, object]:
@@ -131,7 +141,25 @@ def parse_jsonl_row(
     The single definition of what a JSONL row is — shared by the shard
     value reader, the apply-side chunk parse, and the schema checks, so
     their semantics (and error wording) cannot drift.
+
+    A line starting with ``{`` takes one C-scanner call
+    (``raw_decode``), and it is accepted exactly when ``json.loads``
+    would return the same object.  ``json.loads`` refuses a leading BOM
+    and skips leading whitespace before it calls that same
+    ``raw_decode``; a leading ``{`` rules out both, and it can only
+    decode to a ``dict``.  Afterwards ``json.loads`` raises "Extra data"
+    unless only JSON whitespace is left, which is the check made here.
+    Every other line, and every line the scanner rejects, goes through
+    ``json.loads``, so the error text is its own.
     """
+    if line[:1] == "{":
+        try:
+            payload, stop = JSONL_DECODER.raw_decode(line)
+        except ValueError:
+            pass
+        else:
+            if not line[stop:].strip(JSON_WHITESPACE):
+                return payload
     try:
         payload = json.loads(line)
     except ValueError as error:

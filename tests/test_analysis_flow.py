@@ -150,20 +150,38 @@ class TestConformance:
 
 class TestIdempotence:
     def test_self_reentry_is_clx018(self):
-        # Output 'x'<D>+ escapes the target and re-enters the branch's
-        # own dispatch: repeated applies keep rewriting.
+        # Output 'x''1'<D>+ escapes the target and re-enters the branch's
+        # own dispatch: repeated applies keep rewriting (x0 -> x10 -> x110).
         compiled = _compiled(
-            [Branch(P("'x'<D>+"), AtomicPlan([ConstStr("x"), Extract(2)]))],
+            [
+                Branch(
+                    P("'x'<D>+"),
+                    AtomicPlan([ConstStr("x"), ConstStr("1"), Extract(2)]),
+                )
+            ],
             "'y'<D>2",
         )
         findings = check_flow(compiled, "a.clx.json")
         assert _rules(findings) == ["CLX015", "CLX018"]
         reentry = findings[1]
-        assert reentry.data["witness"] == "x0"
+        assert reentry.data["witness"] == "x10"
         assert reentry.message == (
-            "output 'x0' re-enters this branch's own dispatch ('x'<D>+); "
+            "output 'x10' re-enters this branch's own dispatch ('x'<D>+); "
             "repeated applies keep rewriting the value"
         )
+        # A second apply really does rewrite the witness.
+        assert compiled.run_one("x10").output != "x10"
+
+    def test_literal_echo_gets_the_identity_treatment(self):
+        # ConstStr('x') rebuilds the literal source token it stands on,
+        # so the plan echoes every match (x0 -> x0): like an identity
+        # plan it can neither escape the target nor keep rewriting.
+        compiled = _compiled(
+            [Branch(P("'x'<D>+"), AtomicPlan([ConstStr("x"), Extract(2)]))],
+            "'y'<D>2",
+        )
+        assert compiled.run_one("x0").output == "x0"
+        assert check_flow(compiled, "a.clx.json") == []
 
     def test_cross_reentry_is_clx017(self):
         # Branch 1's output <D>2 escapes the target and lands in branch
@@ -385,8 +403,27 @@ class TestPlanIsIdentity:
             (AtomicPlan([Extract(1, 2)]), False),  # drops token 3
             (AtomicPlan([Extract(3), Extract(1, 2)]), False),  # reorders
             (AtomicPlan([Extract(1, 3), ConstStr("!")]), False),
+            # A ConstStr spelling the literal source token emits it.
+            (AtomicPlan([Extract(1), ConstStr("."), Extract(3)]), True),
+            (AtomicPlan([Extract(1), ConstStr("-"), Extract(3)]), False),
+            (AtomicPlan([Extract(1), ConstStr(".0"), Extract(3)]), False),
         ],
     )
     def test_identity_detection(self, plan, expected):
         branch = Branch(P("<D>3'.'<D>4"), plan)
         assert plan_is_identity(branch) is expected
+
+    @pytest.mark.parametrize(
+        "pattern,plan,expected",
+        [
+            # One ConstStr may spell several adjacent literal tokens.
+            ("'('')'<D>2", AtomicPlan([ConstStr("()"), Extract(3)]), True),
+            ("'('')'<D>2", AtomicPlan([ConstStr("("), Extract(2, 3)]), True),
+            # A ConstStr never stands in for a base token.
+            ("'x'<D>1", AtomicPlan([ConstStr("x0")]), False),
+            # Same output pattern, but the digits are swapped.
+            ("<D><D>", AtomicPlan([Extract(2), Extract(1)]), False),
+        ],
+    )
+    def test_literal_tokens_rebuilt_by_conststr(self, pattern, plan, expected):
+        assert plan_is_identity(Branch(P(pattern), plan)) is expected

@@ -2,9 +2,10 @@
 
 Covers the loud-failure suffix dispatch (no more silent CSV fallback),
 the pyarrow availability gate on columnar backends, non-UTF-8 handling
-(abort names the byte; quarantine diverts the record), the remote
-opener seam, backend-identity resume keys, and the artifact registry's
-size-budget LRU eviction.
+(abort names the byte; quarantine diverts the record), the bounded
+memory of the JSONL block reader, the remote opener seam,
+backend-identity resume keys, and the artifact registry's size-budget
+LRU eviction.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import importlib.util
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -193,6 +195,34 @@ class TestNonUtf8Bytes:
         record = json.loads(quarantine_file.read_text(encoding="utf-8"))
         assert "invalid UTF-8 byte 0xff" in record["error"]
         assert record["line"] == 3
+
+
+class TestJsonlBlockReader:
+    def test_serial_pass_memory_is_bounded(self, tmp_path):
+        # A serial pass reads each part as one whole-part shard, so a
+        # read() of the whole shard would hold every byte of it at once.
+        notes = ["routine visit", 'follow-up, "urgent"', "no show, rebook"]
+        part = tmp_path / "big.jsonl"
+        rows = 0
+        with part.open("w", encoding="utf-8") as handle:
+            while handle.tell() < 8 << 20:
+                record = {
+                    "id": str(rows),
+                    "name": "Doe, J.",
+                    "note": notes[rows % 3] * 4,
+                    "code": f"CPT-{10_000 + rows % 2_000}",
+                }
+                handle.write(json.dumps(record) + "\n")
+                rows += 1
+        dataset = Dataset.resolve(str(part))
+        tracemalloc.start()
+        try:
+            values = sum(1 for _ in dataset.iter_values("code"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values == rows
+        assert peak < 4 << 20, f"peak {peak / (1 << 20):.2f} MiB over an 8 MiB part"
 
 
 class TestRemoteOpeners:
