@@ -5,14 +5,17 @@ takes per task of the 47-task suite.  The paper positions CLX as an
 interactive tool, so the latency per task should stay well under a second
 on laptop-class hardware for the benchmark-sized inputs.
 
-Also the prove-or-remove rows for the two synthesis hot spots, over the
-plan lists the suite's synthesis actually passes in:
+Also the prove-or-remove rows for the synthesis hot spots, over the
+alignment DAGs the suite's synthesis actually searches:
 
+* the best-first plan search: ``search_plans`` against the specification
+  it replaces, enumerate → rank → slice → deduplicate;
 * MDL ranking (Section 6.3): the one-pass ``rank_plans`` against sorting
-  by the five-part key of the specification functions;
+  by the five-part key of the specification functions, over every plan
+  each DAG enumerates;
 * plan deduplication (Appendix B): the flat key/picks ``deduplicate_plans``
   against the pairwise loop and against the split-and-bucket version that
-  built ``Extract`` objects per split op.
+  built ``Extract`` objects per split op, over each DAG's ranked window.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from repro.core.transformer import transform_column
 from repro.dsl.ast import ConstStr, Extract
 from repro.dsl.mdl import plan_description_length
 from repro.synthesis.equivalence import deduplicate_plans, plans_equivalent
-from repro.synthesis.plans import monotonicity_violations, overlap_violations, rank_plans
+from repro.synthesis.plans import (
+    DEFAULT_MAX_PLANS,
+    enumerate_plans,
+    monotonicity_violations,
+    overlap_violations,
+    rank_plans,
+    search_plans,
+)
 from repro.synthesis.synthesizer import Synthesizer
 from repro.util.errors import SynthesisError
 from repro.util.text import format_table
@@ -39,6 +49,10 @@ REPEATS = 3
 
 #: A mechanism stays only if it wins by at least this much.
 MIN_SPEEDUP = 1.2
+
+#: The synthesizer's default ``dedup_window`` and ``keep_candidates``.
+DEDUP_WINDOW = Synthesizer().dedup_window
+KEEP_CANDIDATES = Synthesizer().keep_candidates
 
 
 def _run_task(task):
@@ -70,22 +84,16 @@ def test_perf_synthesis_latency(suite_tasks, benchmark):
 
 
 @pytest.fixture(scope="module")
-def suite_synthesis_inputs(suite_tasks):
-    """Every ``(plans, source)`` the suite's synthesis ranks and deduplicates."""
-    ranked, deduplicated = [], []
+def suite_synthesis_dags(suite_tasks):
+    """Every ``(dag, source)`` the suite's synthesis searches for plans."""
+    searched = []
 
-    def recording(log, function):
-        def record(plans, source):
-            log.append((list(plans), source))
-            return function(plans, source)
-
-        return record
+    def record(dag, source, *args, **kwargs):
+        searched.append((dag, source))
+        return search_plans(dag, source, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(synthesizer_module, "rank_plans", recording(ranked, rank_plans))
-        patch.setattr(
-            synthesizer_module, "deduplicate_plans", recording(deduplicated, deduplicate_plans)
-        )
+        patch.setattr(synthesizer_module, "search_plans", record)
         for task in suite_tasks:
             session = CLXSession(task.inputs)
             session.label_target(task.target_pattern())
@@ -93,6 +101,24 @@ def suite_synthesis_inputs(suite_tasks):
                 session.synthesize()
             except SynthesisError:
                 continue
+    return searched
+
+
+@pytest.fixture(scope="module")
+def suite_synthesis_inputs(suite_synthesis_dags):
+    """The ``(plans, source)`` lists the specification ranks and deduplicates.
+
+    Built from the suite's DAGs exactly as enumerate → rank → slice →
+    deduplicate builds them: ``rank_plans`` sees every enumerated plan,
+    ``deduplicate_plans`` the ranked plans inside the default window.
+    """
+    ranked, deduplicated = [], []
+    for dag, source in suite_synthesis_dags:
+        plans = enumerate_plans(dag, max_plans=DEFAULT_MAX_PLANS)
+        if not plans:
+            continue
+        ranked.append((plans, source))
+        deduplicated.append((rank_plans(plans, source)[:DEDUP_WINDOW], source))
     return ranked, deduplicated
 
 
@@ -242,4 +268,53 @@ def test_perf_plan_dedup(suite_synthesis_inputs):
     assert bucketed >= MIN_SPEEDUP, (
         f"flat dedup is only {bucketed:.2f}x the split-and-bucket version "
         f"(median of {bucketed_speedups}); expected >= {MIN_SPEEDUP}x"
+    )
+
+
+def _specification_lists(inputs):
+    """enumerate → rank → slice → deduplicate, per ``(dag, source)``."""
+    return [
+        deduplicate_plans(rank_plans(enumerate_plans(dag), source)[:DEDUP_WINDOW], source)[
+            :KEEP_CANDIDATES
+        ]
+        for dag, source in inputs
+    ]
+
+
+def _searched_lists(inputs):
+    return [search_plans(dag, source, DEDUP_WINDOW, KEEP_CANDIDATES) for dag, source in inputs]
+
+
+def test_perf_plan_search(suite_synthesis_dags):
+    inputs = suite_synthesis_dags
+    assert inputs, "the suite searched no DAG"
+    # Where enumeration hits its cap, depth-first truncation decides which
+    # plans the specification ranks at all, so only the lists below the
+    # cap must agree.
+    capped = [len(enumerate_plans(dag)) >= DEFAULT_MAX_PLANS for dag, _source in inputs]
+    speedups = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        expected = _specification_lists(inputs)
+        specification_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        actual = _searched_lists(inputs)
+        search_seconds = time.perf_counter() - start
+        for index, (want, got) in enumerate(zip(expected, actual)):
+            if capped[index]:
+                assert got, f"the search found no plan for capped DAG {index}"
+            else:
+                assert got == want, f"DAG {index}: the search differs from the specification"
+        speedups.append(specification_seconds / search_seconds)
+    speedup = statistics.median(speedups)
+    rows_table = [
+        ("DAGs", f"{len(inputs)}", f"{sum(capped)} at the enumeration cap"),
+        ("enumerate, rank, slice, dedup", f"{specification_seconds:.3f} s", "last repeat"),
+        ("best-first search_plans", f"{search_seconds:.3f} s", "last repeat"),
+        ("median speed-up", f"{speedup:.1f}x", f"of {REPEATS} repeats"),
+    ]
+    print("\n" + format_table(["plan search", "value", "detail"], rows_table))
+    assert speedup >= MIN_SPEEDUP, (
+        f"the plan search is only {speedup:.2f}x the specification "
+        f"(median of {speedups}); expected >= {MIN_SPEEDUP}x"
     )

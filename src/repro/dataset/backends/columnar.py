@@ -131,8 +131,13 @@ class ColumnarWriter:
             )
 
     def write(self, wire_text: str) -> None:
-        """Decode one chunk of wire text and buffer its rows."""
-        for line in wire_text.splitlines():
+        """Decode one chunk of wire text and buffer its rows.
+
+        Records end at ``"\n"`` only: the wire text is written with
+        ``ensure_ascii=False``, so a cell may hold a raw ``U+2028``,
+        ``U+2029`` or ``\x85``, which ``str.splitlines`` would also cut at.
+        """
+        for line in wire_text.split("\n"):
             if not line:
                 continue
             payload = json.loads(line)

@@ -4,7 +4,7 @@ Pipeline::
 
     hierarchy --(validate, §6.1)--> candidate source patterns
               --(token alignment, Alg. 3, §6.2)--> DAG of token matches
-              --(plan enumeration + MDL ranking, §6.3)--> ranked plans
+              --(best-first plan search, MDL ranking, §6.3)--> ranked plans
               --(equivalence dedup, App. B)--> candidate plans per source
               --(Alg. 2)--> UniFi program (+ repair alternatives, §6.4)
 """
@@ -12,7 +12,7 @@ Pipeline::
 from repro.synthesis.validate import token_frequency, validate_source
 from repro.synthesis.dag import AlignmentDAG
 from repro.synthesis.alignment import align_tokens
-from repro.synthesis.plans import enumerate_plans, rank_plans
+from repro.synthesis.plans import enumerate_plans, rank_plans, search_plans
 from repro.synthesis.equivalence import deduplicate_plans, plans_equivalent
 from repro.synthesis.synthesizer import SynthesisResult, Synthesizer, synthesize
 from repro.synthesis.repair import RepairCandidates, repair_options
@@ -28,6 +28,7 @@ __all__ = [
     "plans_equivalent",
     "rank_plans",
     "repair_options",
+    "search_plans",
     "synthesize",
     "token_frequency",
     "validate_source",

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.dsl.ast import AtomicPlan, ConstStr
+from repro.dsl.ast import AtomicPlan, ConstStr, StringExpression
 from repro.patterns.pattern import Pattern
 
 #: A plan's canonical key: token indices and constant texts.
 _Key = Tuple[Union[int, str], ...]
 
 #: Per split op, the source index of a literal extract, else 0.  Only
-#: compared position by position, so it stays the list it is built as.
-_Picks = List[int]
+#: compared position by position: ``_split`` keeps the list it builds,
+#: and the plan search concatenates per-expression tuples.
+_Picks = Sequence[int]
 
 #: Literal text by 1-based source index; ``None`` for class tokens.
 _Literals = List[Optional[str]]
@@ -38,8 +39,8 @@ def _literal_table(source: Pattern) -> _Literals:
     return [None] + [token.literal if token.is_literal else None for token in source]
 
 
-def _split(plan: AtomicPlan, literals: _Literals) -> Tuple[_Key, _Picks]:
-    """Split ``plan`` into its canonical key and its literal picks.
+def _split(expressions: Sequence[StringExpression], literals: _Literals) -> Tuple[_Key, _Picks]:
+    """Split a plan's ``expressions`` into its canonical key and its literal picks.
 
     Step 1 of Appendix B splits ``Extract(m, n)`` into single extracts.
     Each split op keys as a ``ConstStr``'s text, a literal extract's
@@ -51,7 +52,7 @@ def _split(plan: AtomicPlan, literals: _Literals) -> Tuple[_Key, _Picks]:
     key: List[Union[int, str]] = []
     picks: List[int] = []
     size = len(literals)
-    for expression in plan.expressions:
+    for expression in expressions:
         if isinstance(expression, ConstStr):
             key.append(expression.text)
             picks.append(0)
@@ -78,6 +79,23 @@ def _split_equivalent(left: _Picks, right: _Picks) -> bool:
     return all(a == b or not a or not b for a, b in zip(left, right))
 
 
+def _admit(buckets: Dict[_Key, List[_Picks]], key: _Key, picks: _Picks) -> bool:
+    """Whether a plan split into ``key``/``picks`` is new; if so, record it.
+
+    ``buckets`` holds the picks of the plans kept so far by canonical
+    key; the plan is new when no kept plan with its key is equivalent.
+    """
+    bucket = buckets.get(key)
+    if bucket is None:
+        buckets[key] = [picks]
+        return True
+    for existing in bucket:
+        if _split_equivalent(picks, existing):
+            return False
+    bucket.append(picks)
+    return True
+
+
 def plans_equivalent(first: AtomicPlan, second: AtomicPlan, source: Pattern) -> bool:
     """Whether two plans always yield the same output for ``source`` strings.
 
@@ -87,8 +105,8 @@ def plans_equivalent(first: AtomicPlan, second: AtomicPlan, source: Pattern) -> 
     extract of a constant source token versus the same text as ConstStr).
     """
     literals = _literal_table(source)
-    first_key, first_picks = _split(first, literals)
-    second_key, second_picks = _split(second, literals)
+    first_key, first_picks = _split(first.expressions, literals)
+    second_key, second_picks = _split(second.expressions, literals)
     return first_key == second_key and _split_equivalent(first_picks, second_picks)
 
 
@@ -111,10 +129,7 @@ def deduplicate_plans(plans: Sequence[AtomicPlan], source: Pattern) -> List[Atom
     kept: List[AtomicPlan] = []
     buckets: Dict[_Key, List[_Picks]] = {}
     for plan in plans:
-        key, picks = _split(plan, literals)
-        bucket = buckets.setdefault(key, [])
-        if any(_split_equivalent(picks, existing) for existing in bucket):
-            continue
-        bucket.append(picks)
-        kept.append(plan)
+        key, picks = _split(plan.expressions, literals)
+        if _admit(buckets, key, picks):
+            kept.append(plan)
     return kept

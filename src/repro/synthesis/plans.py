@@ -1,4 +1,4 @@
-"""Plan enumeration and MDL ranking (paper Section 6.3).
+"""Plan enumeration, MDL ranking and the best-first plan search (paper Section 6.3).
 
 Finding an atomic transformation plan is finding a path from node 0 to
 node ``len(target)`` in the alignment DAG; every combination of edge
@@ -6,22 +6,34 @@ expressions along a path is one plan.  Plans are ranked by Minimum
 Description Length, the paper's formalization of Occam's razor: the plan
 with the lowest description length becomes the default, the next ``k``
 are offered as repair alternatives.
+
+:func:`enumerate_plans` → :func:`rank_plans` → slice →
+:func:`~repro.synthesis.equivalence.deduplicate_plans` is the
+specification of a source's candidate list: it builds every plan, then
+sorts them all.  :func:`search_plans` is what the synthesizer runs: a
+best-first search of the DAG that ranks and deduplicates only the plans
+inside the window, and returns the same list whenever its work bound
+does not bind.  The FlashFill baseline, the lazy-user simulation and the
+tests use the specification.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Dict, List, Sequence, Tuple
 
 from repro.dsl.ast import AtomicPlan, Extract, StringExpression
 from repro.dsl.mdl import OPERATION_TYPES, expression_cost
 from repro.patterns.pattern import Pattern
 from repro.synthesis.dag import AlignmentDAG
+from repro.synthesis.equivalence import _admit, _literal_table, _split
 
-#: Safety cap on the number of enumerated plans; the DAGs produced by
-#: whole-token alignment are small, so this cap is rarely reached, but it
-#: bounds worst-case behaviour on adversarial patterns (e.g. long free-text
-#: sources where many tokens are syntactically similar to each target token).
+#: Safety cap on the number of enumerated plans (and on the partial paths
+#: the search pops); the DAGs produced by whole-token alignment are small,
+#: so this cap is rarely reached, but it bounds worst-case behaviour on
+#: adversarial patterns (e.g. long free-text sources where many tokens are
+#: syntactically similar to each target token).
 DEFAULT_MAX_PLANS = 5_000
 
 
@@ -189,3 +201,184 @@ def rank_plans(
         )
 
     return sorted(plans, key=key)
+
+
+#: Slack when comparing running description lengths: the search adds
+#: costs up one ``+=`` at a time, which can differ in the last bits from
+#: the exact ``sum`` the ranking key takes.
+_TOLERANCE = 1e-9
+
+
+def search_plans(
+    dag: AlignmentDAG,
+    source: Pattern,
+    window: int,
+    keep: int,
+    max_paths: int = DEFAULT_MAX_PLANS,
+) -> List[AtomicPlan]:
+    """The ranked, deduplicated candidate plans, found best-first.
+
+    Returns what ``deduplicate_plans(rank_plans(plans, source)[:window],
+    source)[:keep]`` returns for ``plans``, every plan of ``dag`` (all of
+    :func:`enumerate_plans` when its cap does not bind), whenever
+    ``max_paths`` does not bind, without building the plans nobody sees.
+
+    Partial paths pop from a heap keyed by (overlaps, running
+    description length).  Both parts only grow as a path is extended,
+    so complete plans pop in non-decreasing order of the key's first two
+    parts.  They are ranked in batches: once the frontier's key is above
+    a batch's last key (plus a float tolerance, so MDL ties stay in one
+    batch), no plan still to come ranks before any plan in the batch.
+    A batch is sorted by the exact five-part key of :func:`rank_plans`,
+    exact duplicates (two paths spelling one plan) are dropped, and the
+    rest pass the
+    Appendix-B deduplication of
+    :func:`~repro.synthesis.equivalence.deduplicate_plans` in order.  The
+    search ends when ``window`` distinct plans are ranked or ``keep``
+    plans are kept.
+
+    Args:
+        dag: Alignment DAG built by :func:`repro.synthesis.alignment.align_tokens`.
+        source: The candidate source pattern.
+        window: How many of the best-ranked plans deduplication runs over.
+        keep: How many deduplicated plans to return.
+        max_paths: Bound on popped partial paths, a work bound.  When it
+            is reached, the plans ranked so far are returned; if none has
+            completed, the search follows only each path's first move
+            until one does, so a DAG with a path always yields a plan.
+
+    Returns:
+        Up to ``keep`` plans, best first; empty when no path reaches the
+        sink.
+    """
+    sink = dag.sink_node
+    if sink == 0:
+        return [AtomicPlan(())]
+
+    source_length = max(1, len(source))
+    model_cost = math.log2(OPERATION_TYPES)
+    literals = _literal_table(source)
+    leaving: Dict[int, List[Tuple[int, List[StringExpression]]]] = {}
+    for (start, end), bucket in dag.edges.items():
+        leaving.setdefault(start, []).append((end, bucket))
+
+    # Facts by expression text.  A path is the tuple of its expressions'
+    # texts: no text is a proper prefix of another (each closes its own
+    # parenthesis, after a complete ``repr`` for a ConstStr), so paths of
+    # equal length compare as their ``Concat(...)`` strings, the last part
+    # of rank_plans' key, and equal paths are equal plans.
+    expression_of: Dict[str, StringExpression] = {}
+    costs: Dict[str, float] = {}
+    split_keys: Dict[str, tuple] = {}
+    split_picks: Dict[str, tuple] = {}
+    # moves[node]: (end, text, span, first token, last token, step) per
+    # expression on an edge to a live node, one that reaches the sink;
+    # found from the sink backwards, so no dead end is searched.
+    moves: List[List[Tuple[int, str, int, int, int, float]]] = [[] for _ in range(sink)]
+    live = [False] * sink + [True]
+    for node in range(sink - 1, -1, -1):
+        out = moves[node]
+        for end, bucket in leaving.get(node, ()):
+            if not live[end]:
+                continue
+            for expression in bucket:
+                text = str(expression)
+                if text not in expression_of:
+                    expression_of[text] = expression
+                    costs[text] = expression_cost(expression, source_length)
+                    split_key, picks = _split((expression,), literals)
+                    split_keys[text], split_picks[text] = split_key, tuple(picks)
+                step = model_cost + costs[text]
+                if isinstance(expression, Extract):
+                    first, last = expression.start, expression.end
+                    # Bits first..last: the source tokens the extract copies.
+                    span = (1 << (last + 1)) - (1 << first)
+                    out.append((end, text, span, first, last, step))
+                else:
+                    out.append((end, text, 0, 0, 0, step))
+        live[node] = bool(out)
+    if not live[0]:
+        return []
+
+    cost_of = costs.__getitem__
+    key_of, picks_of = split_keys.__getitem__, split_picks.__getitem__
+    kept: List[Tuple[str, ...]] = []
+    buckets: Dict[tuple, List[tuple]] = {}
+    ranked = 0
+
+    def settle(batch: List[Tuple[int, int, Tuple[str, ...]]]) -> bool:
+        """Rank and deduplicate one batch; whether the search is done."""
+        nonlocal ranked
+        if len(batch) == 1:
+            paths = [batch[0][2]]
+        else:
+            # rank_plans' key, with the path for the plan's string.
+            keys = sorted(
+                (
+                    overlaps,
+                    len(path) * model_cost + sum(map(cost_of, path)),
+                    backwards,
+                    len(path),
+                    path,
+                )
+                for overlaps, backwards, path in batch
+            )
+            paths = []
+            for key in keys:
+                # Two paths may spell one plan: equal plans sort together.
+                if not paths or key[4] != paths[-1]:
+                    paths.append(key[4])
+        for path in paths:
+            ranked += 1
+            if ranked > window:
+                return True
+            if _admit(buckets, sum(map(key_of, path), ()), sum(map(picks_of, path), ())):
+                kept.append(path)
+                if len(kept) == keep:
+                    return True
+        return ranked == window
+
+    # Entries: overlaps, running MDL, node, used-token mask, last extracted
+    # token, backward extracts, path.
+    heap: List[Tuple[int, float, int, int, int, int, Tuple[str, ...]]] = [(0, 0.0, 0, 0, 0, 0, ())]
+    batch: List[Tuple[int, int, Tuple[str, ...]]] = []
+    batch_overlaps, batch_mdl = 0, 0.0
+    pops = 0
+    while heap:
+        if pops >= max_paths and (batch or kept):
+            break
+        overlaps, mdl, node, used, last_end, backwards, path = heappop(heap)
+        pops += 1
+        if batch and (overlaps != batch_overlaps or mdl > batch_mdl + _TOLERANCE):
+            # No plan still to come ranks before any plan in the batch.
+            done = settle(batch)
+            batch = []
+            if done:
+                break
+        if node == sink:
+            batch.append((overlaps, backwards, path))
+            batch_overlaps, batch_mdl = overlaps, mdl
+            continue
+        for end, text, span, first, last, step in (
+            moves[node] if pops <= max_paths else moves[node][:1]
+        ):
+            if span:
+                heappush(
+                    heap,
+                    (
+                        overlaps + 1 if span & used else overlaps,
+                        mdl + step,
+                        end,
+                        used | span,
+                        last if last > last_end else last_end,
+                        backwards + 1 if first <= last_end else backwards,
+                        path + (text,),
+                    ),
+                )
+            else:
+                heappush(
+                    heap, (overlaps, mdl + step, end, used, last_end, backwards, path + (text,))
+                )
+    if batch:
+        settle(batch)
+    return [AtomicPlan(map(expression_of.__getitem__, path)) for path in kept]

@@ -26,7 +26,10 @@ whenever the profiled data admits one.
 
 The result carries, for every solved source pattern, the full ranked and
 deduplicated list of candidate plans so that program repair (Section 6.4)
-can swap the default plan without re-running synthesis.
+can swap the default plan without re-running synthesis.  The list comes
+from a best-first search of the alignment DAG
+(:func:`repro.synthesis.plans.search_plans`) that builds only the plans
+inside the deduplication window.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ from repro.clustering.hierarchy import HierarchyNode, PatternHierarchy
 from repro.dsl.ast import AtomicPlan, Branch, UniFiProgram
 from repro.patterns.pattern import Pattern
 from repro.synthesis.alignment import align_tokens
-from repro.synthesis.equivalence import deduplicate_plans
-from repro.synthesis.plans import enumerate_plans, rank_plans
+from repro.synthesis.plans import search_plans
 from repro.synthesis.validate import validate_source
 from repro.tokens.token import Token
 from repro.util.errors import SynthesisError
@@ -106,8 +108,11 @@ class Synthesizer:
     """Configurable UniFi synthesizer.
 
     Attributes:
-        max_plans_per_source: Enumeration cap forwarded to
-            :func:`repro.synthesis.plans.enumerate_plans`.
+        max_plans_per_source: Work bound of the plan search
+            (:func:`repro.synthesis.plans.search_plans`): at most this
+            many partial paths are popped per source pattern.  A source
+            whose alignment DAG has a path still gets at least one plan
+            at any bound.
         keep_candidates: Maximum number of ranked candidate plans retained
             per source pattern for later repair (the paper keeps the top
             ``k``).
@@ -158,9 +163,9 @@ class Synthesizer:
                 continue
             if pattern in seen_sources:
                 continue
-            plans = self._plans_for(pattern, target)
+            plans, conforms = self._plans_for(pattern, target)
             if plans:
-                if not plan_conforms(pattern, plans[0], target):
+                if not conforms:
                     cover = self._verified_resolution(node, target)
                     if cover is not None:
                         covered_solved, covered_already = cover
@@ -214,8 +219,8 @@ class Synthesizer:
                 # Every profiled row under this node is already in the
                 # desired form; the pass-through handles it.
                 return [], [narrowed]
-            plans = self._plans_for(narrowed, target)
-            if plans and plan_conforms(narrowed, plans[0], target):
+            plans, conforms = self._plans_for(narrowed, target)
+            if conforms:
                 return [(narrowed, plans)], []
         return self._conforming_cover(node, target)
 
@@ -266,8 +271,8 @@ class Synthesizer:
         pattern = node.pattern
         if pattern == target or target.subsumes(pattern):
             return [], [pattern]
-        plans = self._plans_for(pattern, target)
-        if plans and plan_conforms(pattern, plans[0], target):
+        plans, conforms = self._plans_for(pattern, target)
+        if conforms:
             return [(pattern, plans)], []
         if not node.children:
             return None
@@ -281,7 +286,7 @@ class Synthesizer:
             already.extend(sub[1])
         return solved, already
 
-    def _plans_for(self, source: Pattern, target: Pattern) -> List[AtomicPlan]:
+    def _plans_for(self, source: Pattern, target: Pattern) -> Tuple[List[AtomicPlan], bool]:
         """Validated + aligned + ranked + deduplicated plans for one source.
 
         When the MDL-best plan is not provably conforming but some other
@@ -289,24 +294,30 @@ class Synthesizer:
         front — verification breaks ranking ties the description length
         cannot see (e.g. which of several ``<D>+`` tokens feeds a
         ``<D>3`` target).
+
+        Returns:
+            The plans, and whether the first of them provably conforms
+            to ``target`` (``False`` when there are none), so callers
+            need not decide it again.
         """
         if not validate_source(source, target):
-            return []
-        dag = align_tokens(source, target)
-        if not dag.has_path():
-            return []
-        plans = enumerate_plans(dag, max_plans=self.max_plans_per_source)
-        if not plans:
-            return []
-        ranked = rank_plans(plans, source)
-        deduped = deduplicate_plans(ranked[: self.dedup_window], source)
-        kept = deduped[: self.keep_candidates]
-        if kept and not plan_conforms(source, kept[0], target):
-            conforming = [plan for plan in kept if plan_conforms(source, plan, target)]
-            if conforming:
-                chosen = set(conforming)
-                kept = conforming + [plan for plan in kept if plan not in chosen]
-        return kept
+            return [], False
+        kept = search_plans(
+            align_tokens(source, target),
+            source,
+            window=self.dedup_window,
+            keep=self.keep_candidates,
+            max_paths=self.max_plans_per_source,
+        )
+        if not kept:
+            return [], False
+        if plan_conforms(source, kept[0], target):
+            return kept, True
+        conforming = [plan for plan in kept[1:] if plan_conforms(source, plan, target)]
+        if not conforming:
+            return kept, False
+        chosen = set(conforming)
+        return conforming + [plan for plan in kept if plan not in chosen], True
 
 
 def synthesize(

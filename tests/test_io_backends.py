@@ -31,9 +31,11 @@ from repro.dataset.backends import (
     supported_suffixes,
     unregister_opener,
 )
+from repro.dataset.backends.columnar import ColumnarWriter
 from repro.engine.cache import ArtifactRegistry, RegistryEntry
 from repro.engine.parallel import ShardedTableExecutor, apply_dataset
 from repro.engine.resilience import RunManifest
+from repro.engine.serialize import encode_rows_jsonl
 from repro.util.errors import CLXError
 
 _FSSPEC_PRESENT = importlib.util.find_spec("fsspec") is not None
@@ -164,6 +166,19 @@ class TestColumnarGate:
         )
         assert code == 2
         assert "pyarrow" in capsys.readouterr().err
+
+
+class TestColumnarWriterWireSplit:
+    def test_unicode_line_separators_stay_inside_their_record(self):
+        # Built without __init__, so no pyarrow is needed: write() only
+        # decodes and buffers rows until flush_rows of them are pending.
+        writer = object.__new__(ColumnarWriter)
+        writer._fields = ("a",)
+        writer._rows = []
+        writer._flush_rows = ColumnarWriter.FLUSH_ROWS
+        cells = [["x\u2028y"], ["z\x85w"], ["p\u2029q"], ["plain"]]
+        writer.write(encode_rows_jsonl(["a"], cells))
+        assert writer._rows == cells
 
 
 class TestNonUtf8Bytes:

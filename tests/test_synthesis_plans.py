@@ -1,4 +1,4 @@
-"""Tests for plan enumeration and MDL ranking (Section 6.3)."""
+"""Tests for plan enumeration, MDL ranking and the best-first plan search (Section 6.3)."""
 
 from __future__ import annotations
 
@@ -9,11 +9,13 @@ from repro.patterns.parse import parse_pattern
 from repro.patterns.pattern import Pattern
 from repro.synthesis.alignment import align_tokens
 from repro.synthesis.dag import AlignmentDAG
+from repro.synthesis.equivalence import deduplicate_plans
 from repro.synthesis.plans import (
     enumerate_plans,
     monotonicity_violations,
     overlap_violations,
     rank_plans,
+    search_plans,
 )
 
 
@@ -195,3 +197,153 @@ class TestRankPlansDifferential:
         source = Pattern([])
         plans = [AtomicPlan((ConstStr("ab"),)), AtomicPlan(()), AtomicPlan((Extract(1),))]
         assert rank_plans(plans, source) == sorted(plans, key=_reference_key(source))
+
+
+#: Enumeration bound the differential DAGs stay under, so neither side caps.
+_UNCAPPED = 3_000
+
+
+def _specification(dag, source, window, keep):
+    """The candidate list the search must equal: enumerate, rank, slice, dedup."""
+    ranked = rank_plans(enumerate_plans(dag, max_plans=_UNCAPPED), source)
+    return deduplicate_plans(ranked[:window], source)[:keep]
+
+#: (window, keep) pairs: single plans, tiny windows, and the default window.
+_BOUNDS = [(window, keep) for window in (1, 2, 3, 200) for keep in (1, 2, 3, 200)]
+
+_PAIR_TOKENS = ("<D>2", "<D>+", "<L>+", "<U>+", "<U>", "'/'", "'-'", "' '", "'ab'")
+
+
+def _random_pattern(rng, lengths):
+    return parse_pattern("".join(rng.choice(_PAIR_TOKENS) for _ in range(rng.choice(lengths))))
+
+
+def _random_dag(rng):
+    """A hand-built DAG: shared and equal-valued expressions, dead ends."""
+    length = rng.randint(0, 5)
+    dag = AlignmentDAG(target_length=length)
+    pool = [
+        Extract(1),
+        Extract(2),
+        Extract(1, 2),
+        Extract(3),
+        Extract(10),
+        ConstStr("-"),
+        ConstStr("a"),
+        ConstStr("ab"),
+        ConstStr("'"),
+        ConstStr('"q"'),
+    ]
+    for _ in range(rng.randint(0, 12)):
+        if length == 0:
+            break
+        start = rng.randint(0, length - 1)
+        end = rng.randint(start + 1, min(length, start + 2))
+        expression = rng.choice(pool)
+        if rng.random() < 0.3:
+            # An equal but separate object, on any edge: two paths may
+            # spell one plan, and the DAG may hold one value twice.
+            expression = type(expression)(*vars(expression).values())
+        dag.edges.setdefault((start, end), []).append(expression)
+    return dag
+
+
+class TestSearchPlansDifferential:
+    """``search_plans`` equals enumerate → rank → slice → deduplicate."""
+
+    def test_random_aligned_pairs(self, property_rng):
+        checked = 0
+        for _ in range(150):
+            source = _random_pattern(property_rng, (1, 2, 3, 4, 5, 6))
+            target = _random_pattern(property_rng, (1, 2, 3, 4, 5))
+            dag = align_tokens(source, target)
+            if len(enumerate_plans(dag, max_plans=_UNCAPPED)) >= _UNCAPPED:
+                continue
+            for window, keep in _BOUNDS:
+                expected = _specification(dag, source, window, keep)
+                actual = search_plans(dag, source, window, keep, max_paths=10**6)
+                assert actual == expected, (source.notation(), target.notation(), window, keep)
+            checked += 1
+        assert checked > 100
+
+    def test_random_hand_built_dags(self, property_rng):
+        for _ in range(300):
+            dag = _random_dag(property_rng)
+            source = _random_pattern(property_rng, (1, 2, 3))
+            for window, keep in _BOUNDS:
+                expected = _specification(dag, source, window, keep)
+                assert search_plans(dag, source, window, keep) == expected, (
+                    dag.target_length,
+                    {edge: [str(e) for e in exprs] for edge, exprs in dag.edges.items()},
+                    window,
+                    keep,
+                )
+
+    def test_mdl_ties_keep_the_specification_order(self):
+        # Every date token can feed every target date token: the plans tie
+        # on MDL and differ only in the later parts of the key.
+        source = parse_pattern("<D>2'/'<D>2'/'<D>2")
+        target = parse_pattern("<D>2'-'<D>2'-'<D>2")
+        dag = align_tokens(source, target)
+        for window, keep in _BOUNDS:
+            assert search_plans(dag, source, window, keep) == _specification(
+                dag, source, window, keep
+            )
+
+    def test_duplicate_paths_yield_one_plan(self):
+        first, second = ConstStr("a"), Extract(1)
+        dag = AlignmentDAG(target_length=3)
+        dag.add_edge(0, 1, first)
+        dag.add_edge(1, 3, second)
+        dag.add_edge(0, 2, ConstStr("a"))
+        dag.add_edge(2, 3, Extract(1))
+        source = parse_pattern("<D>2")
+        assert search_plans(dag, source, 200, 50) == [AtomicPlan((first, second))]
+        assert _specification(dag, source, 200, 50) == [AtomicPlan((first, second))]
+
+    def test_dead_end_nodes_are_skipped(self):
+        dag = AlignmentDAG(target_length=3)
+        dag.add_edge(0, 1, Extract(1))
+        dag.add_edge(1, 2, Extract(2))
+        dag.add_edge(0, 3, Extract(1, 3))
+        source = parse_pattern("<D>2'-'<D>2")
+        assert search_plans(dag, source, 200, 50) == [AtomicPlan((Extract(1, 3),))]
+
+    def test_no_path_and_empty_target(self):
+        source = parse_pattern("<D>2")
+        dag = AlignmentDAG(target_length=2)
+        dag.add_edge(0, 1, Extract(1))
+        assert search_plans(dag, source, 200, 50) == []
+        empty = AlignmentDAG(target_length=0)
+        assert search_plans(empty, source, 200, 50) == [AtomicPlan(())]
+
+
+class TestSearchPlansCap:
+    """``max_paths`` bounds popped partial paths, yet never starves a DAG."""
+
+    def _dag(self):
+        source = parse_pattern("<D>3'.'<D>3'.'<D>4")
+        target = parse_pattern("'('<D>3')'' '<D>3'-'<D>4")
+        return source, align_tokens(source, target)
+
+    def test_cap_one_on_a_multi_path_dag_still_yields_a_plan(self):
+        source, dag = self._dag()
+        assert dag.path_count() > 1
+        plans = search_plans(dag, source, 200, 50, max_paths=1)
+        assert plans
+        assert all(plan in enumerate_plans(dag) for plan in plans)
+
+    def test_every_cap_yields_valid_plans(self):
+        source, dag = self._dag()
+        every = enumerate_plans(dag)
+        for cap in (1, 2, 3, 5, 10, 50, 10**6):
+            plans = search_plans(dag, source, 200, 50, max_paths=cap)
+            assert 1 <= len(plans) <= 50
+            assert all(plan in every for plan in plans)
+            assert len(set(plans)) == len(plans)
+
+    def test_uncapped_search_equals_the_specification(self):
+        source, dag = self._dag()
+        assert search_plans(dag, source, 200, 50, max_paths=10**6) == _specification(
+            dag, source, 200, 50
+        )
