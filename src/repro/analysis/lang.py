@@ -16,48 +16,60 @@ first-match over these languages, so "branch j can never fire" is
 precisely "L(branch_j) ⊆ L(target) ∪ ⋃ L(earlier unguarded branches)",
 which :func:`subsumed_by_union` decides.
 
-The machinery is deliberately tiny: patterns compile to chain NFAs (one
-state per consumed character position, a self-loop for ``+`` tokens, no
-epsilon transitions), and all queries run one breadth-first subset
-simulation over tuples of state sets (:func:`_search`).
+The machinery is deliberately tiny.  Patterns compile to **chain NFAs**:
+one state per consumed character position, no epsilon transitions, and
+every transition goes ``j → j+1`` or ``j → j`` (a ``+`` token's
+self-loop).  A set of states is therefore an int with bit ``j`` for
+state ``j``, and one step is the shift-and update of Baeza-Yates and
+Gonnet (*A new approach to text searching*, CACM 1992)::
+
+    S' = ((S & move[atom]) << 1) | (S & loop[atom])
+
+All queries run one breadth-first subset simulation (:func:`_search`)
+of several machines in lockstep, and their joint state is **one int**:
+machine ``k`` owns a bit field of width ``accept_k + 1``, laid out one
+after another.  No transition leaves an accepting state — the accept
+state is the last of its chain and has at most a self-loop — so no
+``move`` bit sits on a field's top bit and a shift never carries into
+the next field; one joint ``(move, loop)`` pair per atom steps every
+machine at once.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.patterns.pattern import Pattern
+from repro.tokens.classes import TokenClass
 from repro.tokens.token import Token
-
-#: A chain NFA: transitions[state][atom] = set of next states; state 0 is
-#: the start, ``accept`` the single accepting state.
-Transitions = List[Dict[str, Set[int]]]
 
 
 class ChainNFA:
-    """A pattern (or containment query) lowered to an NFA over atoms."""
+    """A pattern (or containment query) lowered to a chain NFA over atoms.
 
-    __slots__ = ("transitions", "accept")
+    States ``0..accept`` form a chain, ``0`` the start and ``accept`` the
+    single accepting state; a subset of states is an int mask.  Bit ``j``
+    of ``move[atom]`` means state ``j`` goes to ``j + 1`` on ``atom``; bit
+    ``j`` of ``loop[atom]`` means state ``j`` stays on ``atom``.
+    """
 
-    def __init__(self, transitions: Transitions, accept: int) -> None:
-        self.transitions = transitions
+    __slots__ = ("move", "loop", "accept")
+
+    def __init__(self, move: Dict[str, int], loop: Dict[str, int], accept: int) -> None:
+        self.move = move
+        self.loop = loop
         self.accept = accept
 
-    def step(self, states: FrozenSet[int], atom: str) -> FrozenSet[int]:
-        """All states reachable from ``states`` by consuming ``atom``."""
-        nexts: Set[int] = set()
-        transitions = self.transitions
-        for state in states:
-            nexts |= transitions[state].get(atom, _EMPTY)
-        return frozenset(nexts)
+    def step(self, states: int, atom: str) -> int:
+        """The state mask reachable from ``states`` by consuming ``atom``."""
+        return ((states & self.move.get(atom, 0)) << 1) | (states & self.loop.get(atom, 0))
 
-    def accepts_state(self, states: FrozenSet[int]) -> bool:
-        """Whether the subset contains the accepting state."""
-        return self.accept in states
+    def accepts_state(self, states: int) -> bool:
+        """Whether the state mask contains the accepting state."""
+        return bool(states >> self.accept & 1)
 
-
-_EMPTY: Set[int] = set()
 
 #: Representative pools per base character group.  ``-`` and ``_`` are
 #: singled out because ``<AN>`` accepts them while no other class does.
@@ -96,89 +108,98 @@ def atom_alphabet(patterns: Iterable[Pattern], extra_text: Iterable[str] = ()) -
     return tuple(sorted(atoms))
 
 
+@lru_cache(maxsize=1024)
+def _class_atoms(klass: TokenClass, atoms: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The atoms of ``atoms`` that a character class accepts."""
+    return tuple(atom for atom in atoms if klass.accepts_char(atom))
+
+
 def pattern_nfa(pattern: Pattern, atoms: Sequence[str]) -> ChainNFA:
     """Lower ``pattern`` to a chain NFA over the atom alphabet."""
-    transitions: Transitions = [{}]
-
-    def _new_state() -> int:
-        transitions.append({})
-        return len(transitions) - 1
-
-    def _add(source: int, atom: str, destination: int) -> None:
-        transitions[source].setdefault(atom, set()).add(destination)
-
-    current = 0
+    move: Dict[str, int] = {}
+    loop: Dict[str, int] = {}
+    class_move: Dict[TokenClass, int] = {}
+    class_loop: Dict[TokenClass, int] = {}
+    state = 0
     for token in pattern.tokens:
         if token.is_literal:
             assert token.literal is not None
             for char in token.literal:
-                nxt = _new_state()
-                _add(current, char, nxt)
-                current = nxt
+                move[char] = move.get(char, 0) | 1 << state
+                state += 1
             continue
-        accepted = [atom for atom in atoms if token.klass.accepts_char(atom)]
+        klass = token.klass
+        width = 1 if token.is_plus else int(token.quantifier)
+        class_move[klass] = class_move.get(klass, 0) | ((1 << width) - 1) << state
+        state += width
         if token.is_plus:
-            nxt = _new_state()
-            for atom in accepted:
-                _add(current, atom, nxt)
-                _add(nxt, atom, nxt)
-            current = nxt
-        else:
-            for _ in range(int(token.quantifier)):
-                nxt = _new_state()
-                for atom in accepted:
-                    _add(current, atom, nxt)
-                current = nxt
-    return ChainNFA(transitions, accept=current)
+            class_loop[klass] = class_loop.get(klass, 0) | 1 << state
+    alphabet = tuple(atoms)
+    for masks, by_class in ((move, class_move), (loop, class_loop)):
+        for klass, bits in by_class.items():
+            for atom in _class_atoms(klass, alphabet):
+                masks[atom] = masks.get(atom, 0) | bits
+    return ChainNFA(move, loop, accept=state)
 
 
 def contains_nfa(keyword: str, atoms: Sequence[str], case_sensitive: bool = True) -> ChainNFA:
     """NFA for ``.*keyword.*`` over the atom alphabet (substring search)."""
-    transitions: Transitions = [{} for _ in range(len(keyword) + 1)]
     accept = len(keyword)
-    for atom in atoms:
-        transitions[0].setdefault(atom, set()).add(0)
-        transitions[accept].setdefault(atom, set()).add(accept)
+    ends = 1 | 1 << accept
+    loop = {atom: ends for atom in atoms}
+    move: Dict[str, int] = {}
     for index, char in enumerate(keyword):
-        if case_sensitive:
-            matching = [atom for atom in atoms if atom == char]
-        else:
-            matching = [atom for atom in atoms if atom.lower() == char.lower()]
-        for atom in matching:
-            transitions[index].setdefault(atom, set()).add(index + 1)
-    return ChainNFA(transitions, accept=accept)
+        for atom in atoms:
+            if atom == char or (not case_sensitive and atom.lower() == char.lower()):
+                move[atom] = move.get(atom, 0) | 1 << index
+    return ChainNFA(move, loop, accept=accept)
 
 
-def _search(
-    machines: Sequence[ChainNFA],
-    atoms: Sequence[str],
-    hit: Callable[[Tuple[FrozenSet[int], ...]], bool],
-    prune: Callable[[Tuple[FrozenSet[int], ...]], bool],
-) -> Optional[str]:
+def _search(machines: Sequence[ChainNFA], atoms: Sequence[str], required: int) -> Optional[str]:
     """Breadth-first subset simulation of several NFAs in lockstep.
 
-    Explores every reachable tuple of state subsets; returns a
-    *shortest* witness string (over the atom alphabet) as soon as
-    ``hit`` holds for one, skipping successors where ``prune`` holds
-    (subsets from which no interesting string can extend).  Returns
-    ``None`` when no reachable joint state satisfies ``hit``.
+    The first ``required`` machines (one or two) must accept, the rest
+    must not: a joint state is a hit when every required accept bit is
+    set and no other accept bit is, and it is pruned (never extended)
+    once a required machine's field is empty — no string can extend
+    from it.  Explores every reachable joint state over ``atoms`` in
+    order and returns a *shortest* witness string (over the atom
+    alphabet) as soon as one hits, or ``None`` when none does.
     """
-    start = tuple(frozenset((0,)) for _ in machines)
-    if hit(start):
+    assert 1 <= required <= 2, required
+    start = need = accepts = width = 0
+    offsets: List[int] = []
+    alive: List[int] = []
+    for index, machine in enumerate(machines):
+        offsets.append(width)
+        start |= 1 << width
+        accept_bit = 1 << (width + machine.accept)
+        accepts |= accept_bit
+        if index < required:
+            need |= accept_bit
+            alive.append((accept_bit << 1) - (1 << width))
+        width += machine.accept + 1
+    first_alive, last_alive = alive[0], alive[-1]
+    steps: List[Tuple[str, int, int]] = []
+    for atom in atoms:
+        move = loop = 0
+        for machine, offset in zip(machines, offsets):
+            move |= machine.move.get(atom, 0) << offset
+            loop |= machine.loop.get(atom, 0) << offset
+        steps.append((atom, move, loop))
+    if start & accepts == need:
         return ""
     seen = {start}
-    frontier: List[Tuple[Tuple[FrozenSet[int], ...], str]] = [(start, "")]
+    frontier: List[Tuple[int, str]] = [(start, "")]
     while frontier:
-        next_frontier: List[Tuple[Tuple[FrozenSet[int], ...], str]] = []
+        next_frontier: List[Tuple[int, str]] = []
         for joint, prefix in frontier:
-            for atom in atoms:
-                advanced = tuple(
-                    machine.step(states, atom) for machine, states in zip(machines, joint)
-                )
-                if advanced in seen or prune(advanced):
+            for atom, move, loop in steps:
+                advanced = ((joint & move) << 1) | (joint & loop)
+                if not (advanced & first_alive and advanced & last_alive) or advanced in seen:
                     continue
                 text = prefix + atom
-                if hit(advanced):
+                if advanced & accepts == need:
                     return text
                 seen.add(advanced)
                 next_frontier.append((advanced, text))
@@ -196,19 +217,7 @@ def difference_witness(
     counterexample (over the atom alphabet) usable directly in finding
     messages.
     """
-    machines = [child, *parents]
-
-    def _violation(joint: Tuple[FrozenSet[int], ...]) -> bool:
-        if not child.accepts_state(joint[0]):
-            return False
-        return not any(
-            parent.accepts_state(states) for parent, states in zip(parents, joint[1:])
-        )
-
-    def _prune(joint: Tuple[FrozenSet[int], ...]) -> bool:
-        return not joint[0]  # child can no longer accept anything
-
-    return _search(machines, atoms, hit=_violation, prune=_prune)
+    return _search([child, *parents], atoms, required=1)
 
 
 def subsumed_by_union(child: ChainNFA, parents: Sequence[ChainNFA], atoms: Sequence[str]) -> bool:
@@ -232,19 +241,7 @@ def overlap_witness(
     The witness-producing form of :func:`languages_overlap`; ``None``
     means the (residual) intersection is empty.
     """
-    machines = [first, second, *excluding]
-
-    def _hit(joint: Tuple[FrozenSet[int], ...]) -> bool:
-        if not (first.accepts_state(joint[0]) and second.accepts_state(joint[1])):
-            return False
-        return not any(
-            machine.accepts_state(states) for machine, states in zip(excluding, joint[2:])
-        )
-
-    def _prune(joint: Tuple[FrozenSet[int], ...]) -> bool:
-        return not joint[0] or not joint[1]
-
-    return _search(machines, atoms, hit=_hit, prune=_prune)
+    return _search([first, second, *excluding], atoms, required=2)
 
 
 def languages_overlap(
@@ -302,7 +299,7 @@ def nfa_accepts(nfa: ChainNFA, text: str) -> bool:
     :func:`atom_alphabet` when building it.  (Extra literal atoms only
     refine the quotient, so this never changes the language denoted.)
     """
-    states = frozenset((0,))
+    states = 1
     for char in text:
         states = nfa.step(states, char)
         if not states:

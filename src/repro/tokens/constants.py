@@ -12,10 +12,11 @@ by one string (above a frequency threshold) is promoted to a literal.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.tokens.token import Token
-from repro.tokens.tokenizer import split_by_tokens
+from repro.tokens.tokenizer import detokenize_lengths
 
 #: Fraction of rows in a cluster that must share the same token value for
 #: the token to be promoted to a constant.
@@ -66,20 +67,29 @@ def discover_constant_tokens(
         raise ValueError("threshold must be in (0, 1]")
 
     token_count = len(tokenizations[0])
-    per_position: List[Counter] = [Counter() for _ in range(token_count)]
+    positions = [index for index, token in enumerate(tokenizations[0]) if not token.is_literal]
+    per_position: List[Counter] = [Counter() for _ in positions]
+    # Rows of one leaf cluster usually share one tokenization object, so
+    # its offsets are computed once and reused while it repeats.
+    shared: Optional[Sequence[Token]] = None
+    spans: List[Tuple[int, int]] = []
+    covered = 0
     for value, tokens in zip(values, tokenizations):
-        if len(tokens) != token_count:
-            raise ValueError("all tokenizations must have the same length")
-        pieces = split_by_tokens(value, tokens)
-        for index, piece in enumerate(pieces):
-            per_position[index][piece] += 1
+        if tokens is not shared:
+            if len(tokens) != token_count:
+                raise ValueError("all tokenizations must have the same length")
+            offsets = list(accumulate(detokenize_lengths(tokens), initial=0))
+            spans = [(offsets[index], offsets[index + 1]) for index in positions]
+            covered = offsets[-1]
+            shared = tokens
+        if covered != len(value):
+            raise ValueError("token lengths do not cover the input string")
+        for counter, (start, end) in zip(per_position, spans):
+            counter[value[start:end]] += 1
 
     constants: Dict[int, str] = {}
     total = len(values)
-    for index, counter in enumerate(per_position):
-        token = tokenizations[0][index]
-        if token.is_literal:
-            continue  # Already constant by construction.
+    for index, counter in zip(positions, per_position):
         text, count = counter.most_common(1)[0]
         if text.isdigit():
             continue

@@ -27,13 +27,20 @@ set equal a reference that searches reachability and flow liveness
 separately, each over its own alphabet — and re-entry — every
 CLX017/CLX018/CLX021 witness really reaches the reported branch under
 concrete first-match dispatch.
+
+Last, the shift-and search differential: on random patterns, guard
+keywords and alphabets, ``lang``'s one-int joint search returns exactly
+the shortest witnesses of the frozenset subset simulation kept in
+``tests/lang_reference.py``.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.analysis import Severity, analyze_program, check_composition, check_flow
+from repro.analysis import Severity, analyze_program, check_composition, check_flow, lang
 from repro.analysis.findings import finding
 from repro.analysis.flow import branch_output_pattern
 from repro.analysis.lang import (
@@ -60,6 +67,8 @@ from repro.patterns.regex import compile_pattern
 from repro.tokens.classes import GENERALIZATION_ORDER, TokenClass
 from repro.tokens.token import PLUS, Token
 from repro.util.errors import SynthesisError
+
+import lang_reference
 
 DEAD_ARM_RULES = ("CLX001", "CLX002", "CLX010")
 
@@ -614,3 +623,137 @@ class TestReentryDifferential:
                 _assert_reaches(consumer, witness, reported)
                 checked += 1
         assert checked >= 10, f"only {checked} re-transform findings drawn"
+
+
+# ----------------------------------------------------------------------
+# Shift-and search vs the frozenset reference
+# ----------------------------------------------------------------------
+
+#: Random queries per test of the shift-and differential.
+SEARCH_CASES = 300
+
+
+def _search_pattern(rng):
+    """A random pattern of up to four tokens, empty one time in twenty."""
+    if rng.random() < 0.05:
+        return Pattern([])
+    return Pattern([_random_token(rng) for _ in range(rng.randint(1, 4))])
+
+
+def _random_guard_spec(rng):
+    """A ``(keyword, case_sensitive)`` containment query; may be empty."""
+    keyword = "" if rng.random() < 0.1 else rng.choice(_KEYWORDS)
+    return keyword, rng.random() < 0.5
+
+
+def _machine_spec(rng, near):
+    """A pattern near ``near``, an unrelated pattern or a guard query."""
+    roll = rng.random()
+    if roll < 0.45:
+        return Pattern([_generalized(rng, token) for token in near])
+    if roll < 0.8:
+        return _search_pattern(rng)
+    return _random_guard_spec(rng)
+
+
+def _search_alphabet(rng, specs):
+    patterns = [spec for spec in specs if isinstance(spec, Pattern)]
+    extra = []
+    for spec in specs:
+        if not isinstance(spec, Pattern):
+            keyword, case_sensitive = spec
+            extra += [keyword] if case_sensitive else [keyword, keyword.lower(), keyword.upper()]
+    if rng.random() < 0.3:
+        extra.append(rng.choice(" #/x"))  # an atom no pattern names
+    return atom_alphabet(patterns, extra_text=extra)
+
+
+def _build(module, spec, atoms):
+    if isinstance(spec, Pattern):
+        return module.pattern_nfa(spec, atoms)
+    keyword, case_sensitive = spec
+    return module.contains_nfa(keyword, atoms, case_sensitive)
+
+
+def _witnesses(rng, specs, required):
+    """(lang's witness, the reference's witness) for one query.
+
+    ``required`` 1 asks ``difference_witness(specs[0], specs[1:])``, 2
+    asks ``overlap_witness(specs[0], specs[1], excluding=specs[2:])``.
+    """
+    atoms = _search_alphabet(rng, specs)
+    answers = []
+    for module in (lang, lang_reference):
+        machines = [_build(module, spec, atoms) for spec in specs]
+        if required == 1:
+            answers.append(module.difference_witness(machines[0], machines[1:], atoms))
+        else:
+            answers.append(
+                module.overlap_witness(machines[0], machines[1], atoms, excluding=machines[2:])
+            )
+    return answers
+
+
+def _describe(specs):
+    return [spec.notation() if isinstance(spec, Pattern) else spec for spec in specs]
+
+
+class TestShiftAndSearchDifferential:
+    """``lang``'s one-int joint search returns the frozenset reference's
+    shortest witnesses byte for byte, not just the same emptiness."""
+
+    def _check(self, rng, draw, required):
+        answers = {"witness": 0, "none": 0}
+        for _ in range(SEARCH_CASES):
+            specs = draw(rng)
+            got, expected = _witnesses(rng, specs, required)
+            assert got == expected, _describe(specs)
+            answers["none" if expected is None else "witness"] += 1
+        assert min(answers.values()) >= 30, answers
+
+    def test_difference_witness_with_one_to_four_parents(self, property_rng):
+        def draw(rng):
+            child = _search_pattern(rng)
+            return [child] + [_machine_spec(rng, child) for _ in range(rng.randint(1, 4))]
+
+        self._check(property_rng, draw, required=1)
+
+    def test_overlap_witness_with_excluding(self, property_rng):
+        def draw(rng):
+            first = _search_pattern(rng)
+            second = _machine_spec(rng, first)
+            if not isinstance(second, Pattern):
+                second = Pattern([_generalized(rng, token) for token in first])
+            return [first, second] + [_machine_spec(rng, first) for _ in range(rng.randint(0, 3))]
+
+        self._check(property_rng, draw, required=2)
+
+    @pytest.mark.parametrize("case_sensitive", [True, False])
+    def test_guard_queries(self, property_rng, case_sensitive):
+        # guard_satisfiable's overlap and keyword_always_present's
+        # difference, with the containment query as the second machine.
+        def draw(rng):
+            keyword, _ = _random_guard_spec(rng)
+            return [_search_pattern(rng), (keyword, case_sensitive)]
+
+        for required in (1, 2):
+            self._check(property_rng, draw, required=required)
+
+    def test_edge_cases(self):
+        empty, digits, digit = Pattern([]), parse_pattern("<D>+"), parse_pattern("<D>")
+        for specs, required in [
+            # The empty pattern and the empty keyword accept at the start.
+            ([empty, digits], 1),
+            ([digits, empty], 1),
+            ([empty, ("", True)], 1),
+            ([empty, ("", False)], 2),
+            ([digits, ("", True), empty], 2),
+            ([empty, empty, ("7", False)], 2),
+            # The child keeps accepting on every step, so a carry out of
+            # its field would restart the next machine: "000" only
+            # escapes if <D> never re-arms.
+            ([digits, digit, parse_pattern("<D>2")], 1),
+        ]:
+            rng = random.Random(0)
+            got, expected = _witnesses(rng, specs, required)
+            assert got == expected, _describe(specs)
