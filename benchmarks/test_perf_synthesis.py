@@ -10,6 +10,10 @@ alignment DAGs the suite's synthesis actually searches:
 
 * the best-first plan search: ``search_plans`` against the specification
   it replaces, enumerate → rank → slice → deduplicate;
+* candidate lists searched on first read: ``Synthesizer().synthesize``
+  over the suite's hierarchies, which searches each source only as far
+  as its default plan, against the same calls followed by reading every
+  candidate list in full, which is the work of searching them eagerly;
 * MDL ranking (Section 6.3): the one-pass ``rank_plans`` against sorting
   by the five-part key of the specification functions, over every plan
   each DAG enumerates;
@@ -35,6 +39,7 @@ from repro.synthesis.equivalence import deduplicate_plans, plans_equivalent
 from repro.synthesis.plans import (
     DEFAULT_MAX_PLANS,
     enumerate_plans,
+    iter_plans,
     monotonicity_violations,
     overlap_violations,
     rank_plans,
@@ -90,10 +95,10 @@ def suite_synthesis_dags(suite_tasks):
 
     def record(dag, source, *args, **kwargs):
         searched.append((dag, source))
-        return search_plans(dag, source, *args, **kwargs)
+        return iter_plans(dag, source, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(synthesizer_module, "search_plans", record)
+        patch.setattr(synthesizer_module, "iter_plans", record)
         for task in suite_tasks:
             session = CLXSession(task.inputs)
             session.label_target(task.target_pattern())
@@ -316,5 +321,63 @@ def test_perf_plan_search(suite_synthesis_dags):
     print("\n" + format_table(["plan search", "value", "detail"], rows_table))
     assert speedup >= MIN_SPEEDUP, (
         f"the plan search is only {speedup:.2f}x the specification "
+        f"(median of {speedups}); expected >= {MIN_SPEEDUP}x"
+    )
+
+
+@pytest.fixture(scope="module")
+def suite_hierarchies(suite_tasks):
+    """``(hierarchy, target)`` of every suite task that synthesizes."""
+    inputs = []
+    for task in suite_tasks:
+        session = CLXSession(task.inputs)
+        target = task.target_pattern()
+        try:
+            Synthesizer().synthesize(session.hierarchy, target)
+        except SynthesisError:
+            continue
+        inputs.append((session.hierarchy, target))
+    return inputs
+
+
+def _synthesized(inputs):
+    return [Synthesizer().synthesize(hierarchy, target) for hierarchy, target in inputs]
+
+
+def _synthesized_and_read(inputs):
+    results = _synthesized(inputs)
+    for result in results:
+        for plans in result.candidates.values():
+            len(plans)
+    return results
+
+
+def test_perf_first_plan_synthesis(suite_hierarchies):
+    inputs = suite_hierarchies
+    assert len(inputs) == 47
+    _synthesized_and_read(inputs)
+    speedups = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        expected = _synthesized_and_read(inputs)
+        read_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        actual = _synthesized(inputs)
+        first_seconds = time.perf_counter() - start
+        for want, got in zip(expected, actual):
+            assert got.program == want.program
+            assert got.candidates == want.candidates
+        speedups.append(read_seconds / first_seconds)
+    speedup = statistics.median(speedups)
+    lists = sum(len(result.candidates) for result in expected)
+    rows_table = [
+        ("hierarchies", f"{len(inputs)}", f"{lists} candidate lists"),
+        ("synthesize, every list read", f"{read_seconds:.3f} s", "last repeat"),
+        ("synthesize, default plans only", f"{first_seconds:.3f} s", "last repeat"),
+        ("median speed-up", f"{speedup:.1f}x", f"of {REPEATS} repeats"),
+    ]
+    print("\n" + format_table(["first-plan synthesis", "value", "detail"], rows_table))
+    assert speedup >= MIN_SPEEDUP, (
+        f"searching only the default plans is {speedup:.2f}x reading every list "
         f"(median of {speedups}); expected >= {MIN_SPEEDUP}x"
     )

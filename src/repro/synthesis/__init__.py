@@ -12,19 +12,26 @@ Pipeline::
 from repro.synthesis.validate import token_frequency, validate_source
 from repro.synthesis.dag import AlignmentDAG
 from repro.synthesis.alignment import align_tokens
-from repro.synthesis.plans import enumerate_plans, rank_plans, search_plans
+from repro.synthesis.plans import enumerate_plans, iter_plans, rank_plans, search_plans
 from repro.synthesis.equivalence import deduplicate_plans, plans_equivalent
-from repro.synthesis.synthesizer import SynthesisResult, Synthesizer, synthesize
+from repro.synthesis.synthesizer import (
+    CandidatePlans,
+    SynthesisResult,
+    Synthesizer,
+    synthesize,
+)
 from repro.synthesis.repair import RepairCandidates, repair_options
 
 __all__ = [
     "AlignmentDAG",
+    "CandidatePlans",
     "RepairCandidates",
     "SynthesisResult",
     "Synthesizer",
     "align_tokens",
     "deduplicate_plans",
     "enumerate_plans",
+    "iter_plans",
     "plans_equivalent",
     "rank_plans",
     "repair_options",

@@ -10,18 +10,21 @@ are offered as repair alternatives.
 :func:`enumerate_plans` → :func:`rank_plans` → slice →
 :func:`~repro.synthesis.equivalence.deduplicate_plans` is the
 specification of a source's candidate list: it builds every plan, then
-sorts them all.  :func:`search_plans` is what the synthesizer runs: a
+sorts them all.  :func:`iter_plans` is what the synthesizer runs: a
 best-first search of the DAG that ranks and deduplicates only the plans
-inside the window, and returns the same list whenever its work bound
-does not bind.  The FlashFill baseline, the lazy-user simulation and the
-tests use the specification.
+inside the window, yields them one at a time, and pauses between them.
+:func:`search_plans` is its first ``keep`` plans, the same list as the
+specification whenever the search's work bound does not bind.  The
+FlashFill baseline, the lazy-user simulation and the tests use the
+specification.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Dict, List, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.dsl.ast import AtomicPlan, Extract, StringExpression
 from repro.dsl.mdl import OPERATION_TYPES, expression_cost
@@ -216,12 +219,23 @@ def search_plans(
     keep: int,
     max_paths: int = DEFAULT_MAX_PLANS,
 ) -> List[AtomicPlan]:
-    """The ranked, deduplicated candidate plans, found best-first.
+    """The first ``keep`` plans of :func:`iter_plans`, as a list.
 
     Returns what ``deduplicate_plans(rank_plans(plans, source)[:window],
     source)[:keep]`` returns for ``plans``, every plan of ``dag`` (all of
     :func:`enumerate_plans` when its cap does not bind), whenever
     ``max_paths`` does not bind, without building the plans nobody sees.
+    """
+    return list(islice(iter_plans(dag, source, window, max_paths), keep))
+
+
+def iter_plans(
+    dag: AlignmentDAG,
+    source: Pattern,
+    window: int,
+    max_paths: int = DEFAULT_MAX_PLANS,
+) -> Iterator[AtomicPlan]:
+    """The ranked, deduplicated candidate plans, found best-first, one at a time.
 
     Partial paths pop from a heap keyed by (overlaps, running
     description length).  Both parts only grow as a path is extended,
@@ -231,29 +245,32 @@ def search_plans(
     batch), no plan still to come ranks before any plan in the batch.
     A batch is sorted by the exact five-part key of :func:`rank_plans`,
     exact duplicates (two paths spelling one plan) are dropped, and the
-    rest pass the
-    Appendix-B deduplication of
-    :func:`~repro.synthesis.equivalence.deduplicate_plans` in order.  The
-    search ends when ``window`` distinct plans are ranked or ``keep``
-    plans are kept.
+    rest pass the Appendix-B deduplication of
+    :func:`~repro.synthesis.equivalence.deduplicate_plans` in order; each
+    plan that passes is yielded at once.  The search ends when ``window``
+    distinct plans are ranked.
+
+    The search runs only as far as its reader reads: it pauses after
+    each plan and resumes where it stopped.  What it has yielded is
+    always a prefix of the whole sequence, so the first plan is the
+    first of :func:`search_plans` at every ``keep``.
 
     Args:
         dag: Alignment DAG built by :func:`repro.synthesis.alignment.align_tokens`.
         source: The candidate source pattern.
         window: How many of the best-ranked plans deduplication runs over.
-        keep: How many deduplicated plans to return.
         max_paths: Bound on popped partial paths, a work bound.  When it
-            is reached, the plans ranked so far are returned; if none has
-            completed, the search follows only each path's first move
+            is reached, the plans ranked so far end the sequence; if none
+            has completed, the search follows only each path's first move
             until one does, so a DAG with a path always yields a plan.
 
-    Returns:
-        Up to ``keep`` plans, best first; empty when no path reaches the
-        sink.
+    Yields:
+        Plans, best first; none when no path reaches the sink.
     """
     sink = dag.sink_node
     if sink == 0:
-        return [AtomicPlan(())]
+        yield AtomicPlan(())
+        return
 
     source_length = max(1, len(source))
     model_cost = math.log2(OPERATION_TYPES)
@@ -298,17 +315,17 @@ def search_plans(
                     out.append((end, text, 0, 0, 0, step))
         live[node] = bool(out)
     if not live[0]:
-        return []
+        return
 
     cost_of = costs.__getitem__
     key_of, picks_of = split_keys.__getitem__, split_picks.__getitem__
-    kept: List[Tuple[str, ...]] = []
     buckets: Dict[tuple, List[tuple]] = {}
-    ranked = 0
+    ranked = kept = 0
+    done = False
 
-    def settle(batch: List[Tuple[int, int, Tuple[str, ...]]]) -> bool:
-        """Rank and deduplicate one batch; whether the search is done."""
-        nonlocal ranked
+    def settle(batch: List[Tuple[int, int, Tuple[str, ...]]]) -> Iterator[AtomicPlan]:
+        """Rank and deduplicate one batch, yielding the plans it keeps."""
+        nonlocal ranked, kept, done
         if len(batch) == 1:
             paths = [batch[0][2]]
         else:
@@ -331,12 +348,12 @@ def search_plans(
         for path in paths:
             ranked += 1
             if ranked > window:
-                return True
+                done = True
+                return
             if _admit(buckets, sum(map(key_of, path), ()), sum(map(picks_of, path), ())):
-                kept.append(path)
-                if len(kept) == keep:
-                    return True
-        return ranked == window
+                kept += 1
+                yield AtomicPlan(map(expression_of.__getitem__, path))
+        done = ranked == window
 
     # Entries: overlaps, running MDL, node, used-token mask, last extracted
     # token, backward extracts, path.
@@ -351,10 +368,10 @@ def search_plans(
         pops += 1
         if batch and (overlaps != batch_overlaps or mdl > batch_mdl + _TOLERANCE):
             # No plan still to come ranks before any plan in the batch.
-            done = settle(batch)
+            yield from settle(batch)
             batch = []
             if done:
-                break
+                return
         if node == sink:
             batch.append((overlaps, backwards, path))
             batch_overlaps, batch_mdl = overlaps, mdl
@@ -380,5 +397,4 @@ def search_plans(
                     heap, (overlaps, mdl + step, end, used, last_end, backwards, path + (text,))
                 )
     if batch:
-        settle(batch)
-    return [AtomicPlan(map(expression_of.__getitem__, path)) for path in kept]
+        yield from settle(batch)

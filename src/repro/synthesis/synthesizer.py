@@ -28,25 +28,94 @@ The result carries, for every solved source pattern, the full ranked and
 deduplicated list of candidate plans so that program repair (Section 6.4)
 can swap the default plan without re-running synthesis.  The list comes
 from a best-first search of the alignment DAG
-(:func:`repro.synthesis.plans.search_plans`) that builds only the plans
-inside the deduplication window.
+(:func:`repro.synthesis.plans.iter_plans`) that builds only the plans
+inside the deduplication window, and only as far as someone reads them:
+synthesis takes the default plan and leaves the search paused behind it
+(:class:`CandidatePlans`), because only a repair reads the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 from repro.analysis.flow import plan_conforms
 from repro.clustering.hierarchy import HierarchyNode, PatternHierarchy
 from repro.dsl.ast import AtomicPlan, Branch, UniFiProgram
 from repro.patterns.pattern import Pattern
 from repro.synthesis.alignment import align_tokens
-from repro.synthesis.plans import search_plans
+from repro.synthesis.plans import iter_plans
 from repro.synthesis.validate import validate_source
 from repro.tokens.token import Token
 from repro.util.errors import SynthesisError
-from repro.util.validate import validated_positive_int
+from repro.util.validate import validated_non_negative_int, validated_positive_int
+
+
+class CandidatePlans(Sequence[AtomicPlan]):
+    """One source's ranked candidate plans, searched as far as they are read.
+
+    Holds the default plan and the paused :func:`~repro.synthesis.plans.iter_plans`
+    search that found it.  ``[0]`` and ``bool()`` read the default and
+    never resume the search.  Any other index or slice resumes it as far
+    as that read needs; ``len``, ``==``, ``repr`` and negative indices
+    finish it, and iteration resumes it plan by plan.  The plans it
+    holds are always a prefix of the finished list, and the finished
+    list equals the eager :func:`~repro.synthesis.plans.search_plans`
+    list, whatever order it is read in.  The sequence is read-only.
+    """
+
+    __slots__ = ("_plans", "_rest")
+
+    def __init__(self, first: AtomicPlan, rest: Iterator[AtomicPlan]) -> None:
+        self._plans = [first]
+        self._rest: Optional[Iterator[AtomicPlan]] = rest
+
+    def _found(self, count: Optional[int] = None) -> List[AtomicPlan]:
+        """The plans, searched until ``count`` are found (all when ``None``)."""
+        if self._rest is not None:
+            wanted = None if count is None else count - len(self._plans)
+            if wanted is None or wanted > 0:
+                before = len(self._plans)
+                self._plans.extend(islice(self._rest, wanted))
+                if wanted is None or len(self._plans) - before < wanted:
+                    self._rest = None
+        return self._plans
+
+    @overload
+    def __getitem__(self, index: int) -> AtomicPlan:
+        ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[AtomicPlan]:
+        ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[AtomicPlan, List[AtomicPlan]]:
+        if isinstance(index, slice):
+            start, stop, step = index.start or 0, index.stop, index.step or 1
+            bounded = stop is not None and stop >= 0 and start >= 0 and step > 0
+            return self._found(stop if bounded else None)[index]
+        if index == 0:
+            return self._plans[0]
+        return self._found(index + 1 if index >= 0 else None)[index]
+
+    def __len__(self) -> int:
+        return len(self._found())
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CandidatePlans):
+            return self._found() == other._found()
+        if isinstance(other, list):
+            return self._found() == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._found())
 
 
 @dataclass
@@ -58,7 +127,9 @@ class SynthesisResult:
         program: The synthesized program (default plan per source).
         candidates: Ranked, deduplicated candidate plans per solved source
             pattern; ``candidates[p][0]`` is the default plan used in
-            ``program``.
+            ``program``.  A list's search finishes only when it is read
+            past its first plan (see :class:`CandidatePlans`); read in
+            full, it is the eagerly searched list.
         uncovered: Leaf patterns for which no plan could be synthesized;
             their data is left unchanged and flagged.
         already_target: Patterns whose data already matches the target.
@@ -66,7 +137,7 @@ class SynthesisResult:
 
     target: Pattern
     program: UniFiProgram
-    candidates: Dict[Pattern, List[AtomicPlan]] = field(default_factory=dict)
+    candidates: Dict[Pattern, Sequence[AtomicPlan]] = field(default_factory=dict)
     uncovered: List[Pattern] = field(default_factory=list)
     already_target: List[Pattern] = field(default_factory=list)
 
@@ -76,7 +147,14 @@ class SynthesisResult:
         return [branch.pattern for branch in self.program.branches]
 
     def alternatives(self, source: Pattern, count: int = 5) -> List[AtomicPlan]:
-        """Up to ``count`` repair alternatives for ``source`` (excluding the default)."""
+        """Up to ``count`` repair alternatives for ``source`` (excluding the default).
+
+        Only the first ``count + 1`` candidates are searched for.
+
+        Raises:
+            ValidationError: If ``count`` is negative.
+        """
+        validated_non_negative_int(count, "count")
         plans = self.candidates.get(source, [])
         return list(plans[1 : 1 + count])
 
@@ -123,6 +201,12 @@ class Synthesizer:
             alternatives (e.g. 46 → 50 candidates for the suite's name
             tasks' ``<U>+<L>+'.'' '<U>+<L>+' '<U>+<L>+`` source).
 
+    Synthesis searches each source's plans only as far as the default:
+    the rest of ``keep_candidates`` are found when a repair first reads
+    past it (:class:`CandidatePlans`).  A default that is not provably
+    conforming is the exception: every candidate is searched then, to
+    move the conforming ones to the front.
+
     Every knob must be an integer >= 1: zero would report every pattern
     as uncovered, and a negative value would slice candidates off the
     end of the ranked list.  The knobs are checked once, at construction,
@@ -150,7 +234,7 @@ class Synthesizer:
             raise SynthesisError("cannot synthesize from an empty hierarchy")
 
         unsolved: List[HierarchyNode] = list(hierarchy.roots)
-        solved: List[tuple[Pattern, List[AtomicPlan]]] = []
+        solved: List[Tuple[Pattern, Sequence[AtomicPlan]]] = []
         uncovered: List[Pattern] = []
         already_target: List[Pattern] = []
         seen_sources: set = set()
@@ -203,7 +287,7 @@ class Synthesizer:
     # ------------------------------------------------------------------
     def _verified_resolution(
         self, node: HierarchyNode, target: Pattern
-    ) -> Optional[Tuple[List[Tuple[Pattern, List[AtomicPlan]]], List[Pattern]]]:
+    ) -> Optional[Tuple[List[Tuple[Pattern, Sequence[AtomicPlan]]], List[Pattern]]]:
         """Replace an unverifiable node solution with a provable one.
 
         Tries, in order: the *narrowed* node pattern (one branch, still
@@ -260,7 +344,7 @@ class Synthesizer:
 
     def _conforming_cover(
         self, node: HierarchyNode, target: Pattern
-    ) -> Optional[Tuple[List[Tuple[Pattern, List[AtomicPlan]]], List[Pattern]]]:
+    ) -> Optional[Tuple[List[Tuple[Pattern, Sequence[AtomicPlan]]], List[Pattern]]]:
         """Cover ``node``'s subtree with provably conforming branches.
 
         Returns ``(solved, already_target)`` when every descendant either
@@ -276,7 +360,7 @@ class Synthesizer:
             return [(pattern, plans)], []
         if not node.children:
             return None
-        solved: List[Tuple[Pattern, List[AtomicPlan]]] = []
+        solved: List[Tuple[Pattern, Sequence[AtomicPlan]]] = []
         already: List[Pattern] = []
         for child in node.children:
             sub = self._conforming_cover(child, target)
@@ -286,12 +370,14 @@ class Synthesizer:
             already.extend(sub[1])
         return solved, already
 
-    def _plans_for(self, source: Pattern, target: Pattern) -> Tuple[List[AtomicPlan], bool]:
+    def _plans_for(self, source: Pattern, target: Pattern) -> Tuple[Sequence[AtomicPlan], bool]:
         """Validated + aligned + ranked + deduplicated plans for one source.
 
-        When the MDL-best plan is not provably conforming but some other
-        candidate is, the conforming candidates are stably moved to the
-        front — verification breaks ranking ties the description length
+        When the MDL-best plan provably conforms, the plans are a
+        :class:`CandidatePlans` holding it and the paused search.  When
+        it does not, the search is finished here, and if some other
+        candidate conforms, the conforming candidates are stably moved
+        to the front — verification breaks ranking ties the description length
         cannot see (e.g. which of several ``<D>+`` tokens feeds a
         ``<D>3`` target).
 
@@ -302,17 +388,19 @@ class Synthesizer:
         """
         if not validate_source(source, target):
             return [], False
-        kept = search_plans(
+        search = iter_plans(
             align_tokens(source, target),
             source,
             window=self.dedup_window,
-            keep=self.keep_candidates,
             max_paths=self.max_plans_per_source,
         )
-        if not kept:
+        first = next(search, None)
+        if first is None:
             return [], False
-        if plan_conforms(source, kept[0], target):
-            return kept, True
+        rest = islice(search, self.keep_candidates - 1)
+        if plan_conforms(source, first, target):
+            return CandidatePlans(first, rest), True
+        kept = [first, *rest]
         conforming = [plan for plan in kept[1:] if plan_conforms(source, plan, target)]
         if not conforming:
             return kept, False

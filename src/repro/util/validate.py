@@ -17,6 +17,9 @@ this check.
 :func:`validated_positive_int` is the shared check behind both, and
 behind the :class:`~repro.synthesis.synthesizer.Synthesizer` knobs
 (``max_plans_per_source``, ``keep_candidates``, ``dedup_window``).
+:func:`validated_non_negative_int` is its twin for counts where zero
+means "none": the dispatch memo bound and
+:meth:`~repro.synthesis.synthesizer.SynthesisResult.alternatives`' count.
 
 :func:`validated_delimiter` guards the one CSV knob every read and
 write path shares; :mod:`repro.util.csvio` runs it when it first builds
@@ -58,6 +61,17 @@ def validated_chunk_size(chunk_size: int, name: str = "chunk_size") -> int:
     return validated_positive_int(chunk_size, name)
 
 
+def validated_non_negative_int(value: int, name: str) -> int:
+    """Validate a count that must be an integer >= 0 (``bool`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(
+            f"{name} must be a non-negative integer, got {type(value).__name__}"
+        )
+    if value < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def validated_memo_size(memo_size: int, name: str = "memo_size") -> int:
     """Validate a dispatch-memo bound.
 
@@ -65,13 +79,7 @@ def validated_memo_size(memo_size: int, name: str = "memo_size") -> int:
     it disables memoization rather than asking for an empty cache — so
     only negative values and non-integers are rejected.
     """
-    if isinstance(memo_size, bool) or not isinstance(memo_size, int):
-        raise ValidationError(
-            f"{name} must be a non-negative integer, got {type(memo_size).__name__}"
-        )
-    if memo_size < 0:
-        raise ValidationError(f"{name} must be >= 0, got {memo_size}")
-    return memo_size
+    return validated_non_negative_int(memo_size, name)
 
 
 def validated_delimiter(delimiter: str, name: str = "delimiter") -> str:

@@ -148,3 +148,28 @@ class TestKnobValidation:
         for source, plans in kept.candidates.items():
             assert plans == full.candidates[source][:1]
         assert single.transform().outputs == ["(555) 123 4567"] * 3
+
+
+class TestAlternativesCount:
+    """``alternatives(source, count)`` takes a count >= 0."""
+
+    def _result(self):
+        session = CLXSession(PHONE_TRIO)
+        session.label_target(parse_pattern(PAREN_SPACE_TARGET))
+        result = session.synthesize()
+        source = max(result.candidates, key=lambda pattern: len(result.candidates[pattern]))
+        assert len(result.candidates[source]) >= 4
+        return result, source
+
+    @pytest.mark.parametrize("count", [-1, -3, True, 1.5, "2", None])
+    def test_rejects_negative_or_non_int(self, count):
+        result, source = self._result()
+        with pytest.raises(ValidationError, match="count"):
+            result.alternatives(source, count)
+
+    def test_counts_from_zero(self):
+        result, source = self._result()
+        plans = list(result.candidates[source])
+        assert result.alternatives(source, 0) == []
+        assert result.alternatives(source, 3) == plans[1:4]
+        assert result.alternatives(source, 10**6) == plans[1:]
