@@ -61,9 +61,10 @@ RULES: Tuple[Rule, ...] = (
     Rule("CLX001", Severity.ERROR, "dead branch: pattern subsumed by the target pass-through"),
     Rule("CLX002", Severity.ERROR, "dead branch: pattern shadowed by earlier unguarded branches"),
     Rule("CLX003", Severity.WARN, "overlapping unguarded branches make the output order-dependent"),
-    Rule("CLX004", Severity.ERROR, "ReDoS-prone regex: nested unbounded quantifiers"),
-    Rule("CLX005", Severity.WARN, "ReDoS-prone regex: ambiguous unbounded repetition (overlapping "
-                                  "alternation or adjacent overlapping '+' tokens)"),
+    Rule("CLX004", Severity.ERROR, "ReDoS-prone regex: nested unbounded quantifiers (unreachable: "
+                                   "no token pattern renders one)"),
+    Rule("CLX005", Severity.WARN, "ReDoS-prone regex: ambiguous unbounded repetition (adjacent "
+                                  "overlapping '+' tokens)"),
     Rule("CLX006", Severity.ERROR, "pathological matching time observed on an adversarial probe input"),
     Rule("CLX007", Severity.INFO, "identity plan: the branch rewrites every match to itself"),
     Rule("CLX008", Severity.WARN, "constant-only plan: every match produces the same output"),

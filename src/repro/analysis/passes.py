@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 if TYPE_CHECKING:  # hierarchy types only flow in, never out
     from repro.clustering.hierarchy import PatternHierarchy
 
+from repro.analysis import redos
 from repro.analysis.findings import Finding, finding
 from repro.analysis.flow import (
     ProgramLanguages,
@@ -24,11 +25,11 @@ from repro.analysis.flow import (
     plan_is_identity,
 )
 from repro.analysis.lang import keyword_always_present, languages_overlap, subsumed_by_union
-from repro.analysis.redos import analyze_regex
 from repro.dsl.ast import ConstStr, Extract
 from repro.dsl.guards import ContainsGuard
 from repro.engine.compiled import CompiledProgram
 from repro.patterns.matching import compiled_with_groups
+from repro.patterns.pattern import Pattern
 from repro.patterns.regex import compile_pattern, pattern_to_regex
 
 
@@ -126,36 +127,32 @@ def check_overlap(languages: ProgramLanguages, name: str) -> List[Finding]:
 def check_regex_safety(
     compiled: CompiledProgram, name: str, probe: bool = True
 ) -> List[Finding]:
-    """ReDoS-prone structure (CLX004/CLX005) + empirical probe (CLX006).
+    """Ambiguous repetition (CLX005) + empirical probe (CLX006).
 
-    Walks the exact regex sources the compiled program matches with:
-    the anchored target regex and every branch's grouped dispatch
-    regex.  Only structurally flagged regexes are probed, so clean
-    programs pay nothing and the probe itself is time-bounded.
+    Decided on the token patterns the compiled program renders its
+    regexes from: the target (anchored regex) and every branch (grouped
+    dispatch regex).  Only flagged patterns are rendered and probed, so
+    clean programs pay nothing and the probe itself is time-bounded.
+    CLX004 never fires here: no rendering nests a quantifier.
     """
     findings: List[Finding] = []
-    subjects: List[Tuple[str, str]] = [
-        (name, pattern_to_regex(compiled.target))
-    ]
+    subjects: List[Tuple[str, Pattern, bool]] = [(name, compiled.target, False)]
     for index, branch in enumerate(compiled.program.branches):
-        subjects.append(
-            (branch_location(name, index), compiled_with_groups(branch.pattern).pattern)
-        )
-    for location, source in subjects:
-        issues, measured = analyze_regex(source, probe=probe)
-        if not issues:
+        subjects.append((branch_location(name, index), branch.pattern, True))
+    for location, pattern, grouped in subjects:
+        if not redos.ambiguous_repetition(pattern):
             continue
-        kinds = {issue.kind for issue in issues}
-        if "nested" in kinds:
-            detail = next(issue.detail for issue in issues if issue.kind == "nested")
-            findings.append(
-                finding("CLX004", location, f"ReDoS-prone regex: {detail}", regex=source)
+        source = compiled_with_groups(pattern).pattern if grouped else pattern_to_regex(pattern)
+        findings.append(
+            finding(
+                "CLX005",
+                location,
+                "ambiguous repetition: adjacent unbounded repetitions over "
+                "overlapping character sets",
+                regex=source,
             )
-        if "ambiguous" in kinds:
-            detail = next(issue.detail for issue in issues if issue.kind == "ambiguous")
-            findings.append(
-                finding("CLX005", location, f"ambiguous repetition: {detail}", regex=source)
-            )
+        )
+        measured = redos.probe(source, redos.pump(pattern)) if probe else None
         if measured is not None and measured.slow:
             findings.append(
                 finding(

@@ -1,9 +1,9 @@
 """Regex safety analysis (repro.analysis.redos).
 
-The parser must cover exactly the regex subset the token renderer (and
-the dispatch compiler around it) emits; the structural scan must flag
-the two ReDoS shapes; and the probe must confirm real blow-ups within a
-hard time bound — it can never hang, whatever the regex.
+The token rule must flag adjacent overlapping ``+`` tokens and nothing
+else; the pump must build the adversarial input the probe has always
+used; and the probe must confirm real blow-ups within a hard time
+bound — it can never hang, whatever the regex.
 """
 
 from __future__ import annotations
@@ -16,121 +16,114 @@ from repro.analysis import analyze_program, redos
 from repro.analysis.redos import (
     PROBE_BUDGET_SECONDS,
     ProbeResult,
-    analyze_regex,
-    parse_regex,
-    scan_structure,
+    ambiguous_repetition,
+    probe,
+    pump,
 )
 from repro.dsl.ast import AtomicPlan, Branch, Extract, UniFiProgram
 from repro.engine.compiled import CompiledProgram
 from repro.patterns.matching import compiled_with_groups
 from repro.patterns.parse import parse_pattern as P
-from repro.patterns.regex import pattern_to_regex
 
-
-class TestParser:
-    @pytest.mark.parametrize(
-        "notation",
-        ["<D>3'-'<D>4", "'(a)+*?.'<D>+", "<AN>+'_'<U>2", "'ID-'<L>+"],
-    )
-    def test_parses_every_rendered_pattern_regex(self, notation):
-        # Both regex flavors the engine actually compiles.
-        parse_regex(pattern_to_regex(P(notation)))
-        parse_regex(compiled_with_groups(P(notation)).pattern)
-
-    @pytest.mark.parametrize(
-        "source",
-        [
-            r"^(?:[a-z]+)+$",
-            r"^(?=.*kg)[a-z0-9]+$",
-            r"^(?i:abc)[0-9]{3,}$",
-            r"^(?P<word>\w+)\s?$",
-            r"^[^@]+@[a-z.]+$",
-            r"^(a|bc|[0-9]{2,4})?$",
-        ],
-    )
-    def test_parses_common_constructs(self, source):
-        parse_regex(source)
-
-    def test_unparseable_regex_yields_no_findings(self):
-        issues, probe = analyze_regex(r"^(?<=look)behind$")
-        assert issues == [] and probe is None
+#: A classic exponential regex and its greedy adversarial input.
+_NESTED = r"^(?:[a-z]+)+$"
+_NESTED_PUMP = "a" * 256
 
 
 class TestStructure:
-    def test_nested_unbounded_quantifier_flagged(self):
-        issues = scan_structure(parse_regex(r"^(?:[a-z]+)+$"))
-        assert "nested" in {issue.kind for issue in issues}
-
-    def test_overlapping_alternation_under_quantifier_flagged(self):
-        issues = scan_structure(parse_regex(r"^(?:ab|[a-z]c)+$"))
-        assert "ambiguous" in {issue.kind for issue in issues}
-
     def test_adjacent_overlapping_unbounded_repeats_flagged(self):
-        issues = scan_structure(parse_regex(r"^([a-z]+)([a-z0-9]+)$"))
-        assert "ambiguous" in {issue.kind for issue in issues}
+        assert ambiguous_repetition(P("<L>+<AN>+"))
 
     @pytest.mark.parametrize(
-        "source",
+        "notation",
         [
-            r"^[0-9]{3}-[0-9]{4}$",          # fixed counts only
-            r"^[a-z]+@[0-9]+$",              # disjoint adjacent repeats
-            r"^(?:ab|cd)+$",                 # disjoint alternation arms
-            r"^[a-z]+\.[a-z]+$",             # separated by a literal
+            "<D>3'-'<D>4",   # fixed counts only
+            "<L>+'@'<D>+",   # separated by a literal
+            "<L>+'.'<L>+",   # separated by a literal
+            "<L>+<D>+",      # disjoint adjacent repeats
         ],
     )
-    def test_healthy_regexes_are_clean(self, source):
-        assert scan_structure(parse_regex(source)) == []
+    def test_healthy_regexes_are_clean(self, notation):
+        assert not ambiguous_repetition(P(notation))
+
+
+#: ``pump(pattern, 256)``, recorded from the regex parser's pump on both
+#: renderings of each pattern before the parser was deleted.
+_PUMP_PINS = [
+    ("<AN>+'.'<L>+", "-" * 128 + "." + "a" * 127),
+    ("<D>3'-'<D>4", "000-0000"),
+    ("'ID-'<L>+", "ID-" + "a" * 253),
+    ("<U>2' '<D>+'.'<D>2", "AA " + "0" * 253),
+    ("<L><U>2'#'", "aAA#"),
+    ("<A>+" * 8, "A" * 256),
+]
+
+
+class TestPump:
+    @pytest.mark.parametrize(
+        "notation, expected", _PUMP_PINS, ids=[notation for notation, _ in _PUMP_PINS]
+    )
+    def test_pins_the_adversarial_input(self, notation, expected):
+        assert pump(P(notation), 256) == expected
+
+    def test_each_plus_token_gets_at_least_two_characters(self):
+        # Three '+' tokens in four characters: a share of 2, then the cut.
+        assert pump(P("<D>+'-'<L>+<D>+"), 4) == "00-a"
 
 
 class TestProbe:
     def test_exponential_regex_is_confirmed_slow(self):
-        issues, probe = analyze_regex(r"^(?:[a-z]+)+$")
-        assert issues and probe is not None
-        assert probe.slow
-        assert probe.seconds > PROBE_BUDGET_SECONDS
+        measured = probe(_NESTED, _NESTED_PUMP)
+        assert measured is not None
+        assert measured.slow
+        assert measured.seconds > PROBE_BUDGET_SECONDS
 
     def test_probe_is_time_bounded(self):
         start = time.perf_counter()
-        analyze_regex(r"^(?:[a-z]+)+$")
-        # Structural flag + probe must stay well under a second even for
-        # a regex whose worst case is measured in hours.
+        probe(_NESTED, _NESTED_PUMP)
+        # The probe must stay well under a second even for a regex whose
+        # worst case is measured in hours.
         assert time.perf_counter() - start < 2.0
 
-    def test_clean_regex_is_never_probed(self):
-        issues, probe = analyze_regex(r"^[0-9]{3}-[0-9]{4}$")
-        assert issues == [] and probe is None
+    def test_clean_regex_is_never_probed(self, monkeypatch):
+        def refuse(regex_source, pumped):
+            raise AssertionError(f"probe ran on clean regex {regex_source!r}")
+
+        monkeypatch.setattr(redos, "probe", refuse)
+        branch = Branch(P("<D>3'.'<D>4"), AtomicPlan([Extract(1, 3)]))
+        report = analyze_program(CompiledProgram(UniFiProgram([branch]), P("<D>3'-'<D>4")))
+        assert not {"CLX004", "CLX005", "CLX006"} & {f.rule_id for f in report.findings}
 
     def test_polynomial_ambiguity_stays_warn_level(self):
         # Two adjacent overlapping '+' groups backtrack polynomially —
-        # structurally flagged, but the probe finds them fast, so no
-        # CLX006 escalation.
-        issues, probe = analyze_regex(r"^([a-z]+)([a-z0-9]+)$")
-        assert {issue.kind for issue in issues} == {"ambiguous"}
-        assert probe is not None and not probe.slow
+        # flagged by the token rule, but the probe finds them fast, so
+        # no CLX006 escalation.
+        pattern = P("<L>+<AN>+")
+        measured = probe(compiled_with_groups(pattern).pattern, pump(pattern))
+        assert measured is not None and not measured.slow
 
 
 def _flagged_program():
-    """One branch of eight adjacent overlapping '+' tokens: structurally flagged."""
+    """One branch of eight adjacent overlapping '+' tokens: flagged CLX005."""
     branch = Branch(P("<A>+" * 8), AtomicPlan([Extract(1, 8)]))
     return CompiledProgram(UniFiProgram([branch]), P("<D>3"))
 
 
 class TestProbeFlag:
     def test_probe_false_never_runs_the_probe(self, monkeypatch):
-        def refuse(regex_source, node):
+        def refuse(regex_source, pumped):
             raise AssertionError(f"probe ran on {regex_source!r} with probe=False")
 
         monkeypatch.setattr(redos, "probe", refuse)
         report = analyze_program(_flagged_program(), probe=False)
         codes = {finding.rule_id for finding in report.findings}
         assert "CLX005" in codes and "CLX006" not in codes
-        assert analyze_regex(r"^(?:[a-z]+)+$", probe=False)[1] is None
 
     def test_structural_findings_do_not_depend_on_the_flag(self, monkeypatch):
         monkeypatch.setattr(
             redos,
             "probe",
-            lambda regex_source, node: ProbeResult(slow=True, input_length=64, seconds=1.0),
+            lambda regex_source, pumped: ProbeResult(slow=True, input_length=64, seconds=1.0),
         )
         probed = analyze_program(_flagged_program(), probe=True).findings
         unprobed = analyze_program(_flagged_program(), probe=False).findings

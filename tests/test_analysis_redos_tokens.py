@@ -1,20 +1,18 @@
-"""A token rule for CLX004/CLX005, held to the regex parser's verdicts.
+"""CLX004/CLX005 on tokens, held to the deleted regex parser's verdicts.
 
-``check_regex_safety`` only sees regexes the repo renders from token
-patterns: ``pattern_to_regex`` for the target and
-``compiled_with_groups`` for each branch.  On those, the structural scan
-of ``repro.analysis.redos`` reduces to a rule on the tokens:
+``check_regex_safety`` decides regex safety on the token patterns the
+repo renders its regexes from (``pattern_to_regex`` for the target,
+``compiled_with_groups`` for each branch) with
+``repro.analysis.redos.ambiguous_repetition``.  Before that rule, a
+recursive-descent parser re-read each rendered regex and scanned its
+syntax tree for nested unbounded quantifiers (CLX004) and ambiguous
+repetition (CLX005).
 
-* CLX004 (nested unbounded quantifiers) never fires;
-* CLX005 (ambiguous repetition) fires exactly when two adjacent ``+``
-  base tokens share a character.
-
-``redos_verdicts.json`` records the parser's verdicts on both renderings
-of every pattern the suite's sessions see (hierarchy nodes, targets and
-branch patterns) and of a seeded random sample, so the rule can be held
-to them once the parser is gone.  Regenerate it with::
-
-    PYTHONPATH=src python tests/test_analysis_redos_tokens.py
+``redos_verdicts.json`` is the frozen record of that parser's verdicts
+on both renderings of every pattern the suite's sessions see (hierarchy
+nodes, targets and branch patterns) and of a seeded random sample.  The
+parser is gone, so the fixture can no longer be produced: it is the
+oracle, and it must never be regenerated.
 """
 
 from __future__ import annotations
@@ -23,11 +21,9 @@ import json
 import random
 from pathlib import Path
 
-from repro.analysis.redos import analyze_regex
-from repro.patterns.matching import compiled_with_groups
+from repro.analysis.redos import ambiguous_repetition
 from repro.patterns.parse import parse_pattern
 from repro.patterns.pattern import Pattern
-from repro.patterns.regex import pattern_to_regex
 from repro.tokens.classes import ALL_BASE_CLASSES
 from repro.tokens.token import PLUS, Token
 
@@ -37,41 +33,7 @@ FIXTURE = Path(__file__).with_name("redos_verdicts.json")
 SAMPLE_SEED = 1729
 SAMPLE_SIZE = 1_000
 
-#: One character from each cell the base classes are unions of: digits,
-#: lowercase, uppercase, and ``<AN>``'s ``-`` and ``_``.
-_CELLS = "0aA-_"
-
 _LITERALS = ("-", "_", "x", "ab", " ")
-
-_RULES = (("CLX004", "nested"), ("CLX005", "ambiguous"))
-
-
-def token_rule(pattern: Pattern) -> list:
-    """The rules the token rule fires on either rendering of ``pattern``."""
-    tokens = pattern.tokens
-    ambiguous = any(
-        left.is_plus
-        and right.is_plus
-        and not left.is_literal
-        and not right.is_literal
-        and any(left.klass.accepts_char(c) and right.klass.accepts_char(c) for c in _CELLS)
-        for left, right in zip(tokens, tokens[1:])
-    )
-    return ["CLX005"] if ambiguous else []
-
-
-def _parser_rules(regex: str) -> list:
-    issues, _measured = analyze_regex(regex, probe=False)
-    kinds = {issue.kind for issue in issues}
-    return [rule for rule, kind in _RULES if kind in kinds]
-
-
-def parser_verdicts(pattern: Pattern) -> list:
-    """``[anchored rules, grouped rules]``: the parser on both renderings."""
-    return [
-        _parser_rules(pattern_to_regex(pattern)),
-        _parser_rules(compiled_with_groups(pattern).pattern),
-    ]
 
 
 def random_pattern(rng: random.Random) -> Pattern:
@@ -107,24 +69,6 @@ def sample_patterns() -> list:
     return [random_pattern(rng) for _ in range(SAMPLE_SIZE)]
 
 
-def _rows(patterns) -> list:
-    return [[pattern.notation(), *parser_verdicts(pattern)] for pattern in patterns]
-
-
-def write_fixture() -> None:
-    sections = {"suite": _rows(suite_patterns()), "sample": _rows(sample_patterns())}
-    lines = ["{", f'  "sample_seed": {SAMPLE_SEED},']
-    for index, (name, rows) in enumerate(sections.items()):
-        lines.append(f'  "{name}": [')
-        lines.extend(
-            "    " + json.dumps(row) + ("," if position < len(rows) - 1 else "")
-            for position, row in enumerate(rows)
-        )
-        lines.append("  ]" + ("," if index < len(sections) - 1 else ""))
-    lines.append("}")
-    FIXTURE.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _fixture() -> dict:
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
@@ -150,24 +94,10 @@ class TestFixture:
         for notation, *_verdicts in _fixture_rows():
             assert parse_pattern(notation).notation() == notation
 
-    def test_live_parser_agrees(self):
-        for notation, *verdicts in _fixture_rows():
-            assert parser_verdicts(parse_pattern(notation)) == verdicts, notation
-
 
 class TestTokenRule:
     def test_agrees_with_the_fixture(self):
         for notation, anchored, grouped in _fixture_rows():
-            expected = token_rule(parse_pattern(notation))
+            expected = ["CLX005"] if ambiguous_repetition(parse_pattern(notation)) else []
             assert anchored == expected, notation
             assert grouped == expected, notation
-
-    def test_agrees_with_the_live_parser(self, property_rng):
-        for _ in range(500):
-            pattern = random_pattern(property_rng)
-            expected = token_rule(pattern)
-            assert parser_verdicts(pattern) == [expected, expected], pattern.notation()
-
-
-if __name__ == "__main__":
-    write_fixture()
