@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.analysis import analyze_program, redos
+from repro.analysis.passes import check_regex_safety
 from repro.analysis.redos import (
     PROBE_BUDGET_SECONDS,
     ProbeResult,
@@ -24,6 +25,7 @@ from repro.dsl.ast import AtomicPlan, Branch, Extract, UniFiProgram
 from repro.engine.compiled import CompiledProgram
 from repro.patterns.matching import compiled_with_groups
 from repro.patterns.parse import parse_pattern as P
+from repro.patterns.regex import pattern_to_regex
 
 #: A classic exponential regex and its greedy adversarial input.
 _NESTED = r"^(?:[a-z]+)+$"
@@ -72,6 +74,24 @@ class TestPump:
 
 
 class TestProbe:
+    @pytest.mark.parametrize(
+        "notation",
+        ["<D>3'-'<D>4", "'(a)+*?.'<D>+", "<AN>+'_'<U>2", "'ID-'<L>+"],
+    )
+    def test_probes_every_rendered_pattern_regex(self, notation):
+        # Both regex flavors the engine actually compiles: a probe that
+        # returned None here would silently drop a CLX006.
+        pattern = P(notation)
+        for source in (pattern_to_regex(pattern), compiled_with_groups(pattern).pattern):
+            measured = probe(source, pump(pattern))
+            assert measured is not None and not measured.slow, source
+
+    def test_uncompilable_regex_is_not_probed(self):
+        assert probe(r"^(?:[a-z]+$", _NESTED_PUMP) is None
+
+    def test_empty_pump_is_not_probed(self):
+        assert probe(_NESTED, "") is None
+
     def test_exponential_regex_is_confirmed_slow(self):
         measured = probe(_NESTED, _NESTED_PUMP)
         assert measured is not None
@@ -129,3 +149,52 @@ class TestProbeFlag:
         unprobed = analyze_program(_flagged_program(), probe=False).findings
         assert "CLX006" in {finding.rule_id for finding in probed}
         assert [finding for finding in probed if finding.rule_id != "CLX006"] == unprobed
+
+
+def _program(target, branch):
+    """A one-branch program: ``branch`` extracts its first token."""
+    return CompiledProgram(UniFiProgram([Branch(P(branch), AtomicPlan([Extract(1, 1)]))]), P(target))
+
+
+class TestCheckRegexSafety:
+    def test_target_finding_carries_the_anchored_regex(self):
+        findings = check_regex_safety(_program("<L>+<AN>+", "<D>3"), "t.clx.json", probe=False)
+        assert [(f.rule_id, f.location, f.data["regex"]) for f in findings] == [
+            ("CLX005", "t.clx.json", pattern_to_regex(P("<L>+<AN>+")))
+        ]
+
+    def test_branch_finding_carries_the_grouped_regex(self):
+        findings = check_regex_safety(_program("<D>3", "<L>+<AN>+"), "t.clx.json", probe=False)
+        assert [(f.rule_id, f.location, f.data["regex"]) for f in findings] == [
+            ("CLX005", "t.clx.json:branch[1]", compiled_with_groups(P("<L>+<AN>+")).pattern)
+        ]
+
+    def test_probe_gets_the_rendering_and_the_pump(self, monkeypatch):
+        calls = []
+
+        def record(regex_source, pumped):
+            calls.append((regex_source, pumped))
+            return None
+
+        monkeypatch.setattr(redos, "probe", record)
+        check_regex_safety(_program("<U>+<A>+", "<L>+'.'<L>+<AN>+"), "t.clx.json")
+        assert calls == [
+            (pattern_to_regex(P("<U>+<A>+")), pump(P("<U>+<A>+"))),
+            (
+                compiled_with_groups(P("<L>+'.'<L>+<AN>+")).pattern,
+                pump(P("<L>+'.'<L>+<AN>+")),
+            ),
+        ]
+
+    def test_slow_probe_escalates_at_the_flagged_location(self, monkeypatch):
+        monkeypatch.setattr(
+            redos,
+            "probe",
+            lambda regex_source, pumped: ProbeResult(slow=True, input_length=64, seconds=1.0),
+        )
+        findings = check_regex_safety(_program("<D>3", "<L>+<AN>+"), "t.clx.json")
+        assert [(f.rule_id, f.location) for f in findings] == [
+            ("CLX005", "t.clx.json:branch[1]"),
+            ("CLX006", "t.clx.json:branch[1]"),
+        ]
+        assert findings[1].data == {"input_length": 64, "seconds": 1.0}
